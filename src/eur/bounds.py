@@ -8,11 +8,13 @@ Two bound families run along the chain of overlap tables:
   contraction of consecutive overlap tables (plus a von Neumann entropy term
   for mixed states).
 
-Both depend on the order in which the bases are chained; the ``*_best_order``
-variants search the inequivalent orderings.  The remaining functions cover the
-two-measurement specializations, a max-of-pairwise-sums construction (SCB),
-a weighted three-measurement bound, the fully state-dependent relative-entropy
-form, and the quantum-memory versions conditioned on side information.
+Both read the chain's tables from its bank ``chain.overlaps`` and depend on
+the order in which the bases are chained; the ``*_best_order`` variants search
+the inequivalent orderings as index orders into that bank.  The remaining
+functions cover the two-measurement specializations, a max-of-pairwise-sums
+construction (SCB), a weighted three-measurement bound, the fully
+state-dependent relative-entropy form, and the quantum-memory versions
+conditioned on side information.
 """
 
 from __future__ import annotations
@@ -58,64 +60,60 @@ class BoundReport:
     chain_order: tuple[int, ...]
 
 
-def _consecutive_tables(chain: MeasurementChain) -> list[np.ndarray]:
-    return [overlap_table(chain[m], chain[m + 1]) for m in range(len(chain) - 1)]
-
-
 def _neg_log2(x: float) -> float:
     # + 0.0 turns -log2(1) = -0.0 into a plain 0.0
     return float(-np.log2(x)) + 0.0
 
 
-def _deutsch_h(chain: MeasurementChain) -> float:
-    """Largest cyclic product of (1 + sqrt(c)) / 2 factors along the chain."""
-    n = len(chain)
-    tables = _consecutive_tables(chain)
-    tables.append(overlap_table(chain[n - 1], chain[0]))
-    factors = [(1.0 + np.sqrt(t)) / 2.0 for t in tables]
-    best = 0.0
-    for start in range(chain.dim):
-        v = factors[0][start, :]
-        for m in range(1, n - 1):
-            v = (v[:, None] * factors[m]).max(axis=0)
-        best = max(best, float((v * factors[n - 1][:, start]).max()))
-    return best
+def _state_entropy(dim: int, rho: DensityMatrix | None, what: str) -> float:
+    """S(rho), or 0 without a state; rejects a state whose dimension is not ``dim``."""
+    if rho is None:
+        return 0.0
+    if dim != rho.dim:
+        raise ValueError(f"dimension mismatch: {what} dim {dim} vs state dim {rho.dim}")
+    return von_neumann_entropy(rho)
 
 
-def _mu_b(chain: MeasurementChain) -> float:
-    """Chained max/sum contraction of the consecutive overlap tables.
+def _deutsch_h(bank: np.ndarray, order) -> float:
+    """Largest cyclic product of (1 + sqrt(c)) / 2 factors along ``order``, all start outcomes at once."""
+    n = len(order)
+    factors = [(1.0 + np.sqrt(bank[order[m], order[(m + 1) % n]])) / 2.0 for m in range(n)]
+    v = factors[0]
+    for m in range(1, n - 1):
+        v = (v[:, :, None] * factors[m]).max(axis=1)
+    return float((v * factors[n - 1].T).max())
+
+
+def _mu_b(bank: np.ndarray, order) -> float:
+    """Chained max/sum contraction of the consecutive overlap tables along ``order``.
 
     The first table is collapsed to its column maxima, every intermediate
     index is summed against the next table, and the final index is maximised.
     """
-    tables = _consecutive_tables(chain)
-    v = tables[0].max(axis=0)
-    for t in tables[1:]:
-        v = v @ t
+    v = bank[order[0], order[1]].max(axis=0)
+    for m in range(1, len(order) - 1):
+        v = v @ bank[order[m], order[m + 1]]
     return float(v.max())
 
 
 def deutsch_multi_bound(chain: MeasurementChain) -> float:
     """Lower bound on the min-entropy sum of the chain, in bits."""
-    return _neg_log2(_deutsch_h(chain))
+    return _neg_log2(_deutsch_h(chain.overlaps, range(len(chain))))
 
 
 def mu_multi_bound(chain: MeasurementChain) -> float:
     """Lower bound on the Shannon entropy sum of the chain for pure states."""
-    return _neg_log2(_mu_b(chain))
+    return _neg_log2(_mu_b(chain.overlaps, range(len(chain))))
 
 
 def mu_multi_bound_with_state(chain: MeasurementChain, rho: DensityMatrix) -> float:
     """Mixed-state form: -log2 b + (N - 1) S(rho)."""
-    if chain.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: chain dim {chain.dim} vs state dim {rho.dim}")
-    return mu_multi_bound(chain) + (len(chain) - 1) * von_neumann_entropy(rho)
+    return mu_multi_bound(chain) + (len(chain) - 1) * _state_entropy(chain.dim, rho, "chain")
 
 
 def mu_two_bound(a: MeasurementBasis, b: MeasurementBasis, rho: DensityMatrix | None = None) -> float:
     """Two-measurement bound -log2 c(a, b) + S(rho)."""
-    s = 0.0 if rho is None else von_neumann_entropy(rho)
-    return _neg_log2(max_overlap(a, b)) + s
+    return _neg_log2(max_overlap(a, b)) + _state_entropy(a.dim, rho, "basis")
 
 
 def weighted_bound(
@@ -131,8 +129,7 @@ def weighted_bound(
     uw = overlap_table(u, w)
     wv = overlap_table(w, v)
     m = float((uw.max(axis=0) * wv.max(axis=1)).max())
-    s = 0.0 if rho is None else von_neumann_entropy(rho)
-    return _neg_log2(m) + 2.0 * s
+    return _neg_log2(m) + 2.0 * _state_entropy(u.dim, rho, "basis")
 
 
 def scb_max_bound(chain: MeasurementChain, rho: DensityMatrix | None = None) -> float:
@@ -142,15 +139,14 @@ def scb_max_bound(chain: MeasurementChain, rho: DensityMatrix | None = None) -> 
     full cycle in input order, -1/2 sum_m log2 c(M_m, M_m+1) + (N/2) S(rho).
     """
     n = len(chain)
-    if rho is not None and chain.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: chain dim {chain.dim} vs state dim {rho.dim}")
-    s = 0.0 if rho is None else von_neumann_entropy(rho)
+    s = _state_entropy(chain.dim, rho, "chain")
+    c = chain.overlaps.max(axis=(2, 3))
     candidates = []
     for i in range(n):
         for j in range(i + 1, n):
-            candidates.append(_neg_log2(max_overlap(chain[i], chain[j])) + s)
+            candidates.append(_neg_log2(c[i, j]) + s)
     if n >= 3:
-        cycle = sum(-np.log2(max_overlap(chain[m], chain[(m + 1) % n])) for m in range(n))
+        cycle = sum(-np.log2(c[m, (m + 1) % n]) for m in range(n))
         candidates.append(0.5 * float(cycle) + 0.0 + 0.5 * n * s)
     return max(candidates)
 
@@ -165,8 +161,8 @@ def chain_coefficients(chain: MeasurementChain, rho: DensityMatrix) -> np.ndarra
     if chain.dim != rho.dim:
         raise ValueError(f"dimension mismatch: chain dim {chain.dim} vs state dim {rho.dim}")
     w = outcome_distribution(chain[0], rho)
-    for t in _consecutive_tables(chain):
-        w = w @ t
+    for m in range(len(chain) - 1):
+        w = w @ chain.overlaps[m, m + 1]
     return w
 
 
@@ -221,9 +217,10 @@ def _distinct_cyclic_orders(n: int) -> list[tuple[int, ...]]:
 
 def deutsch_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tuple[int, ...]]:
     """Best Deutsch-type bound over the distinct cyclic orderings of the chain."""
+    bank = chain.overlaps
     best_val, best_order = -math.inf, None
     for order in _distinct_cyclic_orders(len(chain)):
-        val = deutsch_multi_bound(chain.reordered(order))
+        val = _neg_log2(_deutsch_h(bank, order))
         if val > best_val:
             best_val, best_order = val, order
     return best_val, best_order
@@ -231,9 +228,10 @@ def deutsch_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tupl
 
 def mu_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tuple[int, ...]]:
     """Best MU-type bound over all orderings of the chain."""
+    bank = chain.overlaps
     best_val, best_order = -math.inf, None
     for order in permutations(range(len(chain))):
-        val = mu_multi_bound(chain.reordered(order))
+        val = _neg_log2(_mu_b(bank, order))
         if val > best_val:
             best_val, best_order = val, order
     return best_val, best_order
@@ -254,6 +252,8 @@ def build_reports(
     """
     if orders not in ("shannon", "min"):
         raise ValueError(f"orders must be 'shannon' or 'min', got {orders!r}")
+    if rho is not None and chain.dim != rho.dim:
+        raise ValueError(f"dimension mismatch: chain dim {chain.dim} vs state dim {rho.dim}")
     n = len(chain)
     identity_order = tuple(range(n))
     uses_state = rho is not None

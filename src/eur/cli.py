@@ -28,10 +28,13 @@ from .verifier import (
     spot_check_inequalities,
 )
 
-SCAN_COLUMNS = {
-    "mu-multi": "mu_multi",
-    "scb-max": "scb_max",
-    "deutsch-multi": "deutsch_multi",
+# CLI bound name -> (CSV column, bound of one chain).  The scan reports the
+# order-optimized contraction bound so the columns are comparable; the lambdas
+# resolve this module's names at call time, so patching them takes effect.
+SCAN_BOUNDS = {
+    "mu-multi": ("mu_multi", lambda chain: mu_multi_bound_best_order(chain)[0]),
+    "scb-max": ("scb_max", lambda chain: scb_max_bound(chain)),
+    "deutsch-multi": ("deutsch_multi", lambda chain: deutsch_multi_bound(chain)),
 }
 
 
@@ -69,8 +72,8 @@ def cmd_scan(args) -> int:
     if not requested:
         raise ValueError("no bounds requested")
     for name in requested:
-        if name not in SCAN_COLUMNS:
-            raise ValueError(f"unknown bound name {name!r}; choose from {sorted(SCAN_COLUMNS)}")
+        if name not in SCAN_BOUNDS:
+            raise ValueError(f"unknown bound name {name!r}; choose from {sorted(SCAN_BOUNDS)}")
     lo, hi = _parse_range(args.range)
     if args.steps < 1:
         raise ValueError(f"steps must be >= 1, got {args.steps}")
@@ -83,20 +86,13 @@ def cmd_scan(args) -> int:
             raise ValueError("scanning over phi requires a fixed --a")
         grid = [(args.a, x) for x in np.linspace(lo, hi, args.steps)]
 
-    # The chained-contraction bound depends on how the bases are ordered; the
-    # scan reports its order-optimized value so the columns are comparable.
     rows = []
     for a, phi in grid:
         chain = parametric_d3_chain(a, phi)
-        values = {
-            "mu_multi": lambda c=chain: mu_multi_bound_best_order(c)[0],
-            "scb_max": lambda c=chain: scb_max_bound(c),
-            "deutsch_multi": lambda c=chain: deutsch_multi_bound(c),
-        }
-        cells = [a, phi] + [values[SCAN_COLUMNS[name]]() for name in requested]
+        cells = [a, phi] + [SCAN_BOUNDS[name][1](chain) for name in requested]
         rows.append(",".join(f"{cell:.12g}" for cell in cells))
 
-    header = ",".join(["a", "phi"] + [SCAN_COLUMNS[name] for name in requested])
+    header = ",".join(["a", "phi"] + [SCAN_BOUNDS[name][0] for name in requested])
     with open(args.out, "w") as fh:
         fh.write(header + "\n")
         for row in rows:

@@ -8,6 +8,7 @@ Vectors are stored as rows: ``basis.vectors[i]`` is the i-th outcome vector.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,6 +159,15 @@ class MeasurementChain:
 
     def __getitem__(self, i):
         return self.bases[i]
+
+    @cached_property
+    def overlaps(self) -> np.ndarray:
+        """Read-only (N, N, d, d) bank: ``overlaps[m, k]`` is ``overlap_table(self[m], self[k])``.
+
+        Computed once per chain, one ``overlap_table`` call per entry, so every
+        table matches that function bit for bit (a mirror's transpose may not).
+        """
+        return _freeze(np.array([[overlap_table(a, b) for b in self.bases] for a in self.bases]))
 
     def reordered(self, order) -> "MeasurementChain":
         """Chain with bases permuted by the given index order."""

@@ -34,6 +34,7 @@ from .entropy import measured_conditional_entropy, renyi_entropy, shannon_entrop
 CERTIFICATION_TOL = 1e-6
 GRADIENT_STEP = 1e-5
 MIXED_SPOT_SAMPLES = 50
+WEIGHTED_WEIGHTS = (1.0, 1.0, 2.0)  # H(u) + H(v) + 2 H(w), the WEIGHTED bound's entropy sum
 
 
 @dataclass(frozen=True)
@@ -139,13 +140,14 @@ def entropy_sum(chain: MeasurementChain, rho: DensityMatrix, orders=1.0) -> floa
     return sum(renyi_entropy(outcome_distribution(b, rho), a) for b, a in zip(chain, ords))
 
 
-def _pure_objective(chain: MeasurementChain, ords: list[float]):
-    mats = [b.vectors.conj() for b in chain]
+def _pure_objective(chain: MeasurementChain, ords: list[float], weights: list[float]):
+    """Weighted entropy sum sum_m weights[m] H_{ords[m]}(M_m) as a function of the state angles."""
+    terms = [(b.vectors.conj(), a, w) for b, a, w in zip(chain, ords, weights)]
     dim = chain.dim
 
     def objective(x):
         psi = _state_from_angles(x, dim)
-        return sum(renyi_entropy(np.abs(m @ psi) ** 2, a) for m, a in zip(mats, ords))
+        return sum(w * renyi_entropy(np.abs(m @ psi) ** 2, a) for m, a, w in terms)
 
     return objective
 
@@ -165,7 +167,8 @@ def minimize_entropy_sum(
     against the Deutsch-type bound, which Renyi monotonicity keeps valid.
     """
     ords = _broadcast_orders(orders, len(chain))
-    best, converged = _multistart(_pure_objective(chain, ords), chain.dim, config, stream=0)
+    objective = _pure_objective(chain, ords, [1.0] * len(chain))
+    best, converged = _multistart(objective, chain.dim, config, stream=0)
     psi = PureState(_state_from_angles(best.x, chain.dim))
     value = float(best.fun)
 
@@ -175,7 +178,8 @@ def minimize_entropy_sum(
         slacks[BoundName.SCB_MAX] = value - scb_max_bound(chain)
         slacks[BoundName.STATE_DEPENDENT] = value - state_dependent_bound(chain, psi.projector())
         if len(chain) == 3:
-            w_best, w_conv = _multistart(_weighted_objective(chain), chain.dim, config, stream=1)
+            weighted = _pure_objective(chain, ords, WEIGHTED_WEIGHTS)
+            w_best, w_conv = _multistart(weighted, chain.dim, config, stream=1)
             slacks[BoundName.WEIGHTED] = float(w_best.fun) - weighted_bound(chain[0], chain[1], chain[2])
             converged = min(converged, w_conv)
     else:
@@ -183,18 +187,6 @@ def minimize_entropy_sum(
 
     certified = converged >= 1 and all(s >= -CERTIFICATION_TOL for s in slacks.values())
     return VerificationResult(value, psi, slacks, certified, converged)
-
-
-def _weighted_objective(chain: MeasurementChain):
-    mats = [b.vectors.conj() for b in chain]
-    dim = chain.dim
-
-    def objective(x):
-        psi = _state_from_angles(x, dim)
-        h = [shannon_entropy(np.abs(m @ psi) ** 2) for m in mats]
-        return h[0] + h[1] + 2.0 * h[2]
-
-    return objective
 
 
 def minimize_conditional_entropy_sum(
@@ -240,7 +232,7 @@ def minimize_conditional_entropy_sum(
 def minimizer_gradient_max(chain: MeasurementChain, psi: PureState, orders=1.0, step: float = GRADIENT_STEP) -> float:
     """Largest central-difference gradient component of the objective at psi."""
     ords = _broadcast_orders(orders, len(chain))
-    objective = _pure_objective(chain, ords)
+    objective = _pure_objective(chain, ords, [1.0] * len(chain))
     x = _angles_from_state(psi.amplitudes)
     worst = 0.0
     for k in range(x.size):

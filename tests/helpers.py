@@ -5,6 +5,7 @@ index tuples, independent of the contraction-based implementations they
 cross-check.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -41,6 +42,19 @@ def brute_force_deutsch_h(chain):
             v *= (1.0 + np.sqrt(tabs[m][idx[m], idx[(m + 1) % n]])) / 2.0
         best = max(best, v)
     return best
+
+
+def reordered_best_order(chain, bound, orders):
+    """Order search by evaluating ``bound`` on one reordered chain per order.
+
+    The first order in iteration order with the largest value wins.
+    """
+    best_val, best_order = -math.inf, None
+    for order in orders:
+        val = bound(chain.reordered(order))
+        if val > best_val:
+            best_val, best_order = val, order
+    return best_val, best_order
 
 
 def brute_force_chain_weights(chain, rho):

@@ -16,6 +16,7 @@ from helpers import (
     random_bipartite_mixed,
     random_chain,
     random_pure_density,
+    reordered_best_order,
 )
 
 # -2 log2((1 + sqrt(1/2)) / 2) and the three-factor analogue
@@ -115,12 +116,22 @@ class TestMuTwo:
         assert eur.mu_two_bound(a, b) == pytest.approx(1.0, abs=1e-12)
         assert eur.mu_two_bound(a, b, MAX_MIXED_2) == pytest.approx(2.0, abs=1e-12)
 
+    def test_dimension_mismatch(self):
+        a, b = mub_chain(2, 2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            eur.mu_two_bound(a, b, DensityMatrix(np.eye(3) / 3))
+
 
 class TestWeighted:
     def test_qubit_mub_value(self):
         u, v, w = mub_chain(2, 3)
         assert eur.weighted_bound(u, v, w) == pytest.approx(2.0, abs=1e-12)
         assert eur.weighted_bound(u, v, w, MAX_MIXED_2) == pytest.approx(4.0, abs=1e-12)
+
+    def test_dimension_mismatch(self):
+        u, v, w = mub_chain(2, 3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            eur.weighted_bound(u, v, w, DensityMatrix(np.eye(3) / 3))
 
     def test_matches_elementwise_maximum(self):
         for seed in range(10):
@@ -301,6 +312,23 @@ class TestOrderSearch:
             assert best >= eur.mu_multi_bound(chain) - 1e-12
             assert_allclose(eur.mu_multi_bound(chain.reordered(order)), best, atol=1e-12)
 
+    def test_searches_match_reordered_chain_loop(self):
+        for n in range(2, 7):
+            for seed in range(2):
+                chain = random_chain(3, n, seed=900 + 10 * n + seed)
+                assert eur.mu_multi_bound_best_order(chain) == reordered_best_order(
+                    chain, eur.mu_multi_bound, permutations(range(n))
+                )
+                assert eur.deutsch_multi_bound_best_order(chain) == reordered_best_order(
+                    chain, eur.deutsch_multi_bound, _distinct_cyclic_orders(n)
+                )
+
+    def test_tie_break_keeps_first_order(self):
+        chain = mub_chain(2, 3)
+        values = {eur.mu_multi_bound(chain.reordered(p)) for p in permutations(range(3))}
+        assert len(values) == 1  # every ordering ties
+        assert eur.mu_multi_bound_best_order(chain) == (values.pop(), (0, 1, 2))
+
 
 class TestBuildReports:
     def test_pair_without_state(self):
@@ -330,6 +358,11 @@ class TestBuildReports:
     def test_invalid_orders_rejected(self):
         with pytest.raises(ValueError, match="orders"):
             eur.build_reports(mub_chain(2, 3), orders="renyi")
+
+    def test_state_dimension_mismatch(self):
+        for orders in ("shannon", "min"):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                eur.build_reports(mub_chain(2, 3), DensityMatrix(np.eye(3) / 3), orders=orders)
 
     def test_best_order_recorded(self):
         chain = random_chain(3, 3, seed=81)

@@ -103,6 +103,14 @@ class TestBounds:
         out = capsys.readouterr().out
         assert "order=" in out
 
+    def test_state_dimension_mismatch(self, mub_triple_file, tmp_path, capsys):
+        rho_path = tmp_path / "rho3.json"
+        write_density_matrix(rho_path, eur.DensityMatrix(np.eye(3) / 3))
+        for orders in ("shannon", "min"):
+            argv = ["bounds", "--input", mub_triple_file, "--state", str(rho_path), "--orders", orders]
+            assert main(argv) == 2
+            assert "dimension mismatch" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["bounds", "--input", "/nonexistent/chain.json"]) == 2
         assert "error:" in capsys.readouterr().err

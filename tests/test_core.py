@@ -104,6 +104,20 @@ class TestMeasurementChain:
         with pytest.raises(ValueError, match="permutation"):
             chain.reordered((0, 0, 1))
 
+    def test_overlap_bank_matches_overlap_table(self):
+        chain = random_chain(3, 4, seed=6)
+        assert chain.overlaps.shape == (4, 4, 3, 3)
+        for m in range(4):
+            for k in range(4):
+                assert np.array_equal(chain.overlaps[m, k], eur.overlap_table(chain[m], chain[k]))
+
+    def test_overlap_bank_read_only_and_cached(self):
+        chain = random_chain(2, 3, seed=7)
+        bank = chain.overlaps
+        assert chain.overlaps is bank
+        with pytest.raises(ValueError):
+            bank[0, 1, 0, 0] = 0.0
+
 
 class TestOverlapTable:
     def test_identical_bases_give_identity(self):
