@@ -85,6 +85,8 @@ def parametric_d3_chain(a: float, phi: float) -> MeasurementChain:
 
 def random_basis(dim: int, seed: int) -> MeasurementBasis:
     """Haar-random orthonormal basis (QR of a complex Gaussian with phase fix)."""
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)

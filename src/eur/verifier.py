@@ -5,6 +5,10 @@ angles plus relative phases), the objective is minimized with multi-start
 Nelder-Mead from Haar-random starting points, and the gap between the best
 minimum found and each applicable bound is reported as a slack.  Slacks more
 negative than the certification tolerance mean a bound is violated.
+
+The optimizer, ``scipy.optimize.minimize``, is imported on first use by the
+module ``__getattr__`` and then kept as the module attribute ``minimize``, so
+importing the package does not load scipy and the attribute can be replaced.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bounds import (
     BoundName,
@@ -58,6 +61,16 @@ class VerificationResult:
     slack_per_bound: dict
     certified: bool
     converged_restarts: int
+
+
+def __getattr__(name: str):
+    """PEP 562 hook: import scipy's ``minimize`` on first access and keep it as a global."""
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        globals()["minimize"] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _broadcast_orders(orders, n: int) -> list[float]:
@@ -111,6 +124,7 @@ def _random_mixed(rng: np.random.Generator, dim: int, rank: int) -> DensityMatri
 
 
 def _multistart(objective, dim: int, config: MinimizationConfig, stream: int):
+    minimize = globals().get("minimize") or __getattr__("minimize")
     rng = np.random.default_rng([config.seed, stream])
     best = None
     converged = 0

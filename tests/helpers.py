@@ -6,11 +6,12 @@ cross-check.
 """
 
 import math
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
 import eur
+from eur.bounds import _mu_b, _neg_log2
 
 
 def brute_force_mu_b(chain):
@@ -52,6 +53,20 @@ def reordered_best_order(chain, bound, orders):
     best_val, best_order = -math.inf, None
     for order in orders:
         val = bound(chain.reordered(order))
+        if val > best_val:
+            best_val, best_order = val, order
+    return best_val, best_order
+
+
+def exhaustive_mu_best_order(chain):
+    """MU order search by contracting every one of the N! index orders on the bank.
+
+    Orders come in ``permutations`` order and the first largest value wins.
+    """
+    bank = chain.overlaps
+    best_val, best_order = -math.inf, None
+    for order in permutations(range(len(chain))):
+        val = _neg_log2(_mu_b(bank, order))
         if val > best_val:
             best_val, best_order = val, order
     return best_val, best_order

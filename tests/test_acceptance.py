@@ -204,3 +204,12 @@ def test_criterion_10_first_pair_dominance():
             # two-dimensional chains collapse onto the first-pair bound
             assert abs(mu - pair_value) <= 1e-9
     _finish("criterion 10 (first-pair dominance, 500 chains)", t0, 10.0)
+
+
+def test_criterion_11_ten_basis_order_search():
+    t0 = time.perf_counter()
+    chain = random_chain(4, 10, seed=1_100_000)
+    value, order = eur.mu_multi_bound_best_order(chain)
+    assert value == eur.mu_multi_bound(chain.reordered(order))
+    assert value >= eur.mu_multi_bound(chain)
+    _finish("criterion 11 (order search over 10! orders, d = 4)", t0, 30.0)

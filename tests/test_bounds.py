@@ -12,6 +12,7 @@ from helpers import (
     brute_force_chain_weights,
     brute_force_deutsch_h,
     brute_force_mu_b,
+    exhaustive_mu_best_order,
     mub_chain,
     random_bipartite_mixed,
     random_chain,
@@ -328,6 +329,41 @@ class TestOrderSearch:
         values = {eur.mu_multi_bound(chain.reordered(p)) for p in permutations(range(3))}
         assert len(values) == 1  # every ordering ties
         assert eur.mu_multi_bound_best_order(chain) == (values.pop(), (0, 1, 2))
+
+    def test_mu_search_matches_exhaustive_orders(self):
+        chains = [random_chain(dim, n, seed=1200 + 10 * dim + n) for dim in (3, 4) for n in range(2, 8)]
+        chains.append(MeasurementChain(tuple(eur.mub_set(5))))  # every table uniform
+        for chain in chains:
+            assert eur.mu_multi_bound_best_order(chain) == exhaustive_mu_best_order(chain)
+
+    def test_mu_search_repeated_basis_keeps_input_order(self):
+        # every table is the identity, so every order gives b = 1
+        chain = MeasurementChain((eur.computational_basis(3),) * 4)
+        val, order = eur.mu_multi_bound_best_order(chain)
+        assert (val, order) == (0.0, (0, 1, 2, 3))
+        assert math.copysign(1.0, val) == 1.0
+
+    def test_mu_search_prune_admissible_off_doubly_stochastic(self):
+        # Bases a few 1e-10 off orthonormal (inside the validation tolerances)
+        # give tables whose row sums leave 1, so the prune must read them.
+        rng = np.random.default_rng(1300)
+
+        def perturbed(bases):
+            out = []
+            for b in bases:
+                z = rng.standard_normal((2, b.dim, b.dim))
+                v = b.vectors + 1e-10 * (z[0] + 1j * z[1])
+                out.append(eur.MeasurementBasis(v / np.linalg.norm(v, axis=1, keepdims=True)))
+            return MeasurementChain(tuple(out))
+
+        # Shrinking the first basis' rows gives every table that touches it
+        # row sums 1 - 5e-11; a prune assuming unit row sums gets its order wrong.
+        mub5 = eur.mub_set(5)
+        first = eur.MeasurementBasis(mub5[0].vectors * np.sqrt(1.0 - 5e-11))
+        shrunk = MeasurementChain((first, *mub5[1:]))
+        chains = [perturbed(mub5), perturbed(random_chain(4, 6, seed=1301)), shrunk]
+        for chain in chains:
+            assert eur.mu_multi_bound_best_order(chain) == exhaustive_mu_best_order(chain)
 
 
 class TestBuildReports:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +71,11 @@ class TestGenerate:
         out = tmp_path / "r.json"
         assert main(["generate", "--kind", "random", "--dim", "2", "--out", str(out)]) == 0
         assert len(read_measurement_set(out)) == 3
+
+    def test_random_rejects_nonpositive_dim(self, tmp_path, capsys):
+        rc = main(["generate", "--kind", "random", "--dim", "0", "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "dimension must be positive, got 0" in capsys.readouterr().err
 
     def test_random_seeded_reproducibly(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -247,3 +256,35 @@ class TestParser:
                     "--out", str(tmp_path / "x.csv"),
                 ]
             )
+
+
+def _python(code):
+    """Run ``code`` in a fresh interpreter that imports ``eur`` from this checkout."""
+    src = str(Path(eur.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+
+
+class TestStartup:
+    """scipy is loaded by the first minimization, not by importing the package."""
+
+    def test_import_leaves_scipy_unloaded(self):
+        proc = _python("import sys, eur, eur.cli; print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+    def test_help_leaves_scipy_unloaded(self):
+        code = (
+            "import sys\n"
+            "from eur.cli import main\n"
+            "for command in ('bounds', 'verify'):\n"
+            "    try:\n"
+            "        main([command, '--help'])\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "print('scipy loaded:', 'scipy' in sys.modules)\n"
+        )
+        proc = _python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("usage: eur") == 2
+        assert proc.stdout.splitlines()[-1] == "scipy loaded: False"

@@ -108,6 +108,10 @@ class TestRandomBasis:
         b = eur.random_basis(3, seed=2).vectors
         assert np.abs(a - b).max() > 1e-3
 
+    def test_rejects_nonpositive_dim(self):
+        with pytest.raises(ValueError, match="dimension must be positive, got 0"):
+            eur.random_basis(0, seed=1)
+
     def test_unitary(self):
         v = eur.random_basis(5, seed=9).vectors
         assert_allclose(v.conj() @ v.T, np.eye(5), atol=1e-12)

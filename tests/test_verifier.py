@@ -114,6 +114,39 @@ class TestMinimizeConditionalEntropySum:
             eur.minimize_conditional_entropy_sum(mub_chain(2, 2), dim_b=0)
 
 
+class TestOptimizerHook:
+    """``eur.verifier.minimize`` is the one optimizer entry point; replacing it reaches every restart."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        optimizer = eur.verifier.minimize
+        count = [0]
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return optimizer(*args, **kwargs)
+
+        monkeypatch.setattr(eur.verifier, "minimize", counting)
+        return count
+
+    def test_hook_is_scipy_minimize(self):
+        from scipy.optimize import minimize
+
+        assert getattr(eur.verifier, "minimize") is minimize
+
+    def test_entropy_sum_calls_once_per_restart(self, calls):
+        cfg = eur.MinimizationConfig(restarts=3)
+        eur.minimize_entropy_sum(mub_chain(2, 2), config=cfg)
+        assert calls[0] == 3
+        # N = 3 adds the WEIGHTED objective's own multistart
+        eur.minimize_entropy_sum(mub_chain(2, 3), config=cfg)
+        assert calls[0] == 3 + 6
+
+    def test_conditional_entropy_sum_calls_once_per_restart(self, calls):
+        eur.minimize_conditional_entropy_sum(mub_chain(2, 2), dim_b=2, config=eur.MinimizationConfig(restarts=3))
+        assert calls[0] == 3
+
+
 class TestMinimizerGradient:
     def test_small_at_certified_minimum(self):
         result = eur.minimize_entropy_sum(mub_chain(2, 3), config=FAST)
