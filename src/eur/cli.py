@@ -102,6 +102,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.mode == "memory" and args.orders is not None:
+        raise ValueError("--orders applies to --mode state only")
     chain = read_chain(args.input)
     config = MinimizationConfig(restarts=args.restarts, seed=args.seed)
     if args.mode == "state":
@@ -173,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--input", required=True, help="measurement-set JSON file")
     p_verify.add_argument("--mode", choices=["state", "memory"], required=True)
     p_verify.add_argument("--dim-b", type=int, default=2, help="memory dimension (memory mode)")
-    p_verify.add_argument("--orders", choices=["shannon", "min"], default="shannon")
+    p_verify.add_argument("--orders", choices=["shannon", "min"], default=None)  # state mode; None is shannon
     p_verify.add_argument("--restarts", type=int, default=64)
     p_verify.add_argument("--samples", type=int, default=200, help="spot-check rounds")
     p_verify.add_argument("--seed", type=int, default=0)

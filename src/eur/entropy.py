@@ -39,9 +39,38 @@ def _clean_probs(p) -> np.ndarray:
     return p
 
 
+def _entropy_rows(p: np.ndarray, alphas) -> np.ndarray:
+    """Renyi entropy of each row of the (R, d) array ``p``, row r of order ``alphas[r]``.
+
+    No validation: rows must be probability vectors and orders positive.
+    Entries at or below ``LOG_CUTOFF`` contribute 0 to the Shannon sum, so a
+    row of length d <= 7 gives the same bits as summing only its kept entries.
+    """
+    distinct = set(alphas)
+    if len(distinct) == 1:
+        return _entropy_rows_of_order(p, distinct.pop())
+    alphas = np.asarray(alphas, dtype=float)
+    out = np.empty(p.shape[0])
+    for alpha in distinct:
+        rows = alphas == alpha
+        out[rows] = _entropy_rows_of_order(p[rows], alpha)
+    return out
+
+
+def _entropy_rows_of_order(p: np.ndarray, alpha: float) -> np.ndarray:
+    if alpha == 1.0:
+        q = np.where(p > LOG_CUTOFF, p, 1.0)  # 1 * log2(1) = 0 for the cut entries
+        return -(q * np.log2(q)).sum(axis=-1)
+    if math.isinf(alpha):
+        return -np.log2(p.max(axis=-1))
+    # log2(sum p^alpha) computed as log1p(sum (p^alpha - p)) to stay accurate
+    # when alpha is close to 1 and the power sum is close to 1.
+    delta = (np.power(p, alpha) - p).sum(axis=-1)
+    return np.log1p(delta) / ((1.0 - alpha) * math.log(2.0))
+
+
 def _plogp_sum(p: np.ndarray) -> float:
-    q = p[p > LOG_CUTOFF]
-    return float(-(q * np.log2(q)).sum())
+    return float(_entropy_rows(p[None, :], (1.0,))[0])
 
 
 def shannon_entropy(p) -> float:
@@ -58,14 +87,7 @@ def renyi_entropy(p, alpha: float) -> float:
     p = _clean_probs(p)
     if not (alpha > 0.0):
         raise ValueError(f"Renyi order must be positive, got {alpha!r}")
-    if alpha == 1.0:
-        return _plogp_sum(p)
-    if math.isinf(alpha):
-        return float(-np.log2(p.max()))
-    # log2(sum p^alpha) computed as log1p(sum (p^alpha - p)) to stay accurate
-    # when alpha is close to 1 and the power sum is close to 1.
-    delta = float((np.power(p, alpha) - p).sum())
-    return float(np.log1p(delta) / ((1.0 - alpha) * math.log(2.0)))
+    return float(_entropy_rows(p[None, :], (alpha,))[0])
 
 
 def _spectrum_entropy(vals: np.ndarray) -> float:

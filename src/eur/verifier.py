@@ -6,6 +6,12 @@ Nelder-Mead from Haar-random starting points, and the gap between the best
 minimum found and each applicable bound is reported as a slack.  Slacks more
 negative than the certification tolerance mean a bound is violated.
 
+The objectives skip input validation: the Renyi orders are checked once, up
+front, and each evaluation is one product of the stacked bases with the state
+followed by one call of the row-entropy kernel ``entropy._entropy_rows``.  The
+memory-mode objective builds no state objects: for a pure joint state
+H(M|B) = H(M) - S(rho_B), with S(rho_B) from the Schmidt coefficients.
+
 The optimizer, ``scipy.optimize.minimize``, is imported on first use by the
 module ``__getattr__`` and then kept as the module attribute ``minimize``, so
 importing the package does not load scipy and the attribute can be replaced.
@@ -32,7 +38,7 @@ from .bounds import (
     weighted_bound,
 )
 from .core import BipartiteState, DensityMatrix, MeasurementChain, PureState, outcome_distribution
-from .entropy import measured_conditional_entropy, renyi_entropy, shannon_entropy
+from .entropy import _entropy_rows, measured_conditional_entropy, renyi_entropy, shannon_entropy
 
 CERTIFICATION_TOL = 1e-6
 GRADIENT_STEP = 1e-5
@@ -52,6 +58,8 @@ class MinimizationConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -74,22 +82,25 @@ def __getattr__(name: str):
 
 
 def _broadcast_orders(orders, n: int) -> list[float]:
+    """One validated Renyi order per basis, checked here so the objectives need not."""
     if np.isscalar(orders):
-        return [float(orders)] * n
-    out = [float(a) for a in orders]
-    if len(out) != n:
-        raise ValueError(f"need one Renyi order per basis ({n}), got {len(out)}")
+        out = [float(orders)] * n
+    else:
+        out = [float(a) for a in orders]
+        if len(out) != n:
+            raise ValueError(f"need one Renyi order per basis ({n}), got {len(out)}")
+    for a in out:
+        if not (a > 0.0):
+            raise ValueError(f"Renyi order must be positive, got {a!r}")
     return out
 
 
 def _state_from_angles(x: np.ndarray, dim: int) -> np.ndarray:
     thetas, phis = x[: dim - 1], x[dim - 1 :]
-    amps = np.empty(dim)
-    s = 1.0
-    for k in range(dim - 1):
-        amps[k] = s * math.cos(thetas[k])
-        s *= math.sin(thetas[k])
-    amps[dim - 1] = s
+    # amps[k] = sin(theta_0) ... sin(theta_{k-1}) cos(theta_k), the last one without the cosine
+    amps = np.ones(dim)
+    amps[1:] = np.cumprod(np.sin(thetas))
+    amps[:-1] *= np.cos(thetas)
     psi = amps.astype(complex)
     psi[1:] *= np.exp(1j * phis)
     return psi / np.linalg.norm(psi)
@@ -154,14 +165,46 @@ def entropy_sum(chain: MeasurementChain, rho: DensityMatrix, orders=1.0) -> floa
     return sum(renyi_entropy(outcome_distribution(b, rho), a) for b, a in zip(chain, ords))
 
 
+def _stacked_bras(chain: MeasurementChain) -> np.ndarray:
+    """The (N d, d) matrix whose rows are the bras <u_i| of every basis, basis by basis."""
+    return np.concatenate([b.vectors.conj() for b in chain])
+
+
 def _pure_objective(chain: MeasurementChain, ords: list[float], weights: list[float]):
-    """Weighted entropy sum sum_m weights[m] H_{ords[m]}(M_m) as a function of the state angles."""
-    terms = [(b.vectors.conj(), a, w) for b, a, w in zip(chain, ords, weights)]
-    dim = chain.dim
+    """Weighted entropy sum sum_m weights[m] H_{ords[m]}(M_m) as a function of the state angles.
+
+    The orders were validated by ``_broadcast_orders``; each evaluation is one
+    product with the stacked bases and one call of the row-entropy kernel.
+    """
+    bras = _stacked_bras(chain)
+    n, dim = len(chain), chain.dim
 
     def objective(x):
-        psi = _state_from_angles(x, dim)
-        return sum(w * renyi_entropy(np.abs(m @ psi) ** 2, a) for m, a, w in terms)
+        probs = np.abs(bras @ _state_from_angles(x, dim)) ** 2
+        h = _entropy_rows(probs.reshape(n, dim), ords).tolist()
+        return sum(w * hm for w, hm in zip(weights, h))
+
+    return objective
+
+
+def _memory_objective(chain: MeasurementChain, dim_b: int):
+    """sum_m H(M_m|B) as a function of the angles of a pure state on A x B.
+
+    For a pure joint state the measured outcome and the memory's post-measurement
+    state form a classical-pure mixture, so H(M|B) = H(M) - S(rho_B), with rho_B's
+    spectrum the squared singular values of the (d_A, d_B) amplitude matrix.
+    """
+    bras = _stacked_bras(chain)
+    n, da = len(chain), chain.dim
+    total = da * dim_b
+    shannon = [1.0] * n
+
+    def objective(x):
+        amps = _state_from_angles(x, total).reshape(da, dim_b)
+        probs = (np.abs(bras @ amps) ** 2).sum(axis=1).reshape(n, da)
+        schmidt = np.linalg.svd(amps, compute_uv=False) ** 2
+        s_b = _entropy_rows(schmidt[None, :], (1.0,))[0]
+        return float(_entropy_rows(probs, shannon).sum() - n * s_b)
 
     return objective
 
@@ -218,13 +261,7 @@ def minimize_conditional_entropy_sum(
         raise ValueError(f"dim_b must be positive, got {dim_b}")
     da = chain.dim
     total = da * dim_b
-
-    def objective(x):
-        psi = _state_from_angles(x, total)
-        rho = BipartiteState.from_pure(psi, da, dim_b)
-        return sum(measured_conditional_entropy(b, rho) for b in chain)
-
-    best, converged = _multistart(objective, total, config, stream=2)
+    best, converged = _multistart(_memory_objective(chain, dim_b), total, config, stream=2)
     rho_best = BipartiteState.from_pure(_state_from_angles(best.x, total), da, dim_b)
     value = float(best.fun)
 

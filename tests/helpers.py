@@ -12,6 +12,7 @@ import numpy as np
 
 import eur
 from eur.bounds import _mu_b, _neg_log2
+from eur.entropy import LOG_CUTOFF, measured_conditional_entropy, renyi_entropy
 
 
 def brute_force_mu_b(chain):
@@ -70,6 +71,45 @@ def exhaustive_mu_best_order(chain):
         if val > best_val:
             best_val, best_order = val, order
     return best_val, best_order
+
+
+def kept_entries_renyi_entropy(p, alpha):
+    """Renyi entropy of a probability vector from its entries above ``LOG_CUTOFF`` only."""
+    p = np.asarray(p, dtype=float)
+    if alpha == 1.0:
+        q = p[p > LOG_CUTOFF]
+        return float(-(q * np.log2(q)).sum())
+    if math.isinf(alpha):
+        return float(-np.log2(p.max()))
+    delta = float((np.power(p, alpha) - p).sum())
+    return float(np.log1p(delta) / ((1.0 - alpha) * math.log(2.0)))
+
+
+def loop_state_from_angles(x, dim):
+    """Hyperspherical angles to a state vector, one modulus at a time."""
+    thetas, phis = x[: dim - 1], x[dim - 1 :]
+    amps = np.empty(dim)
+    s = 1.0
+    for k in range(dim - 1):
+        amps[k] = s * math.cos(thetas[k])
+        s *= math.sin(thetas[k])
+    amps[dim - 1] = s
+    psi = amps.astype(complex)
+    psi[1:] *= np.exp(1j * phis)
+    return psi / np.linalg.norm(psi)
+
+
+def validated_pure_objective(chain, x, orders, weights):
+    """sum_m weights[m] H_{orders[m]}(M_m) through the validated ``renyi_entropy``, basis by basis."""
+    psi = loop_state_from_angles(x, chain.dim)
+    return sum(w * renyi_entropy(np.abs(b.vectors.conj() @ psi) ** 2, a) for b, a, w in zip(chain, orders, weights))
+
+
+def validated_memory_objective(chain, x, dim_b):
+    """sum_m H(M_m|B) of the pure joint state with angles x, through the dephasing channel."""
+    psi = loop_state_from_angles(x, chain.dim * dim_b)
+    rho = eur.BipartiteState.from_pure(psi, chain.dim, dim_b)
+    return sum(measured_conditional_entropy(b, rho) for b in chain)
 
 
 def brute_force_chain_weights(chain, rho):

@@ -213,3 +213,17 @@ def test_criterion_11_ten_basis_order_search():
     assert value == eur.mu_multi_bound(chain.reordered(order))
     assert value >= eur.mu_multi_bound(chain)
     _finish("criterion 11 (order search over 10! orders, d = 4)", t0, 30.0)
+
+
+def test_criterion_12_verifier_runs_within_budget():
+    t0 = time.perf_counter()
+    result = eur.minimize_entropy_sum(mub_chain(3, 4), config=eur.MinimizationConfig(restarts=64, seed=0))
+    assert result.certified
+    assert abs(result.objective_min - 4.0) <= 1e-6
+    _finish("criterion 12a (state-mode minimization, four qutrit MUBs)", t0, 15.0)
+
+    t0 = time.perf_counter()
+    result = eur.minimize_conditional_entropy_sum(mub_chain(2, 3), dim_b=2, config=eur.MinimizationConfig(restarts=16))
+    assert result.certified
+    assert abs(result.objective_min) <= 1e-6
+    _finish("criterion 12b (memory-mode minimization, qubit MUB triple)", t0, 15.0)

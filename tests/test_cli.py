@@ -234,6 +234,24 @@ class TestVerify:
         assert rc == 0
         assert "slack MEMORY_PURE" in capsys.readouterr().out
 
+    def test_orders_rejected_in_memory_mode(self, mub_pair_file, capsys):
+        for orders in ("shannon", "min"):
+            rc = main(
+                [
+                    "verify", "--input", mub_pair_file, "--mode", "memory",
+                    "--orders", orders, "--restarts", "1", "--samples", "1",
+                ]
+            )
+            assert rc == 2
+            assert "--orders applies to --mode state only" in capsys.readouterr().err
+
+    def test_state_mode_defaults_to_shannon(self, mub_pair_file, capsys):
+        argv = ["verify", "--input", mub_pair_file, "--mode", "state", "--restarts", "2", "--samples", "2"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--orders", "shannon"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_bad_restarts(self, mub_pair_file, capsys):
         rc = main(
             ["verify", "--input", mub_pair_file, "--mode", "state", "--restarts", "0"]

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 import eur
 from eur.core import BipartiteState, DensityMatrix, PureState
-from helpers import random_bipartite_mixed, random_bipartite_pure
+from eur.entropy import LOG_CUTOFF, _entropy_rows
+from helpers import kept_entries_renyi_entropy, random_bipartite_mixed, random_bipartite_pure
 
 # Reference values, frozen from direct evaluation of the defining formulas.
 H_QUARTER = 0.8112781244591328          # -(1/4)log2(1/4) - (3/4)log2(3/4)
@@ -78,6 +79,44 @@ class TestRenyi:
             eur.renyi_entropy([0.5, 0.5], 0.0)
         with pytest.raises(ValueError, match="order"):
             eur.renyi_entropy([0.5, 0.5], -1.0)
+
+
+class TestEntropyRows:
+    """The unvalidated row kernel behind ``renyi_entropy`` and the verifier's objectives."""
+
+    @staticmethod
+    def _rows(rng, count, dim):
+        # Dirichlet rows with exact zeros and entries at and below the log cutoff
+        p = rng.dirichlet(np.ones(dim), size=count)
+        p[rng.random(p.shape) < 0.25] = 0.0
+        p[rng.random(p.shape) < 0.1] = LOG_CUTOFF
+        p[rng.random(p.shape) < 0.1] = 1e-17
+        p[:, 0] += 1.0 - p.sum(axis=1)
+        return p
+
+    @pytest.mark.parametrize("alpha", [1.0, math.inf, 2.0, 0.5])
+    def test_matches_renyi_entropy(self, alpha):
+        rng = np.random.default_rng(21)
+        for dim in range(1, 8):
+            p = self._rows(rng, 50, dim)
+            got = _entropy_rows(p, [alpha] * len(p)).tolist()
+            assert got == [kept_entries_renyi_entropy(row, alpha) for row in p]
+            assert got == [eur.renyi_entropy(row, alpha) for row in p]
+
+    def test_per_row_orders(self):
+        rng = np.random.default_rng(22)
+        alphas = [1.0, math.inf, 2.0, 0.5, 1.0, math.inf]
+        for dim in (2, 3, 5, 7):
+            p = self._rows(rng, len(alphas), dim)
+            got = _entropy_rows(p, alphas).tolist()
+            assert got == [kept_entries_renyi_entropy(row, a) for row, a in zip(p, alphas)]
+
+    def test_long_rows_agree_to_rounding(self):
+        # from 8 entries on, numpy sums in blocks, so a cut entry can regroup the sum
+        rng = np.random.default_rng(23)
+        p = self._rows(rng, 50, 12)
+        want = [kept_entries_renyi_entropy(row, 1.0) for row in p]
+        assert_allclose(_entropy_rows(p, [1.0] * len(p)), want, rtol=0.0, atol=1e-14)
 
 
 class TestVonNeumann:

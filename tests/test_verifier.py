@@ -7,8 +7,21 @@ from numpy.testing import assert_allclose
 import eur
 from eur.bounds import BoundName
 from eur.core import PureState
-from eur.verifier import _angles_from_state, _haar_vector, _state_from_angles
-from helpers import mub_chain, random_chain
+from eur.verifier import (
+    WEIGHTED_WEIGHTS,
+    _angles_from_state,
+    _haar_vector,
+    _memory_objective,
+    _pure_objective,
+    _state_from_angles,
+)
+from helpers import (
+    loop_state_from_angles,
+    mub_chain,
+    random_chain,
+    validated_memory_objective,
+    validated_pure_objective,
+)
 
 DEUTSCH_MUB2_PAIR = 0.45689339367277615
 
@@ -35,6 +48,90 @@ class TestAngleParameterization:
         # deterministic states sit at the parameterization's corners
         e0 = _angles_from_state(np.array([1.0, 0.0, 0.0], dtype=complex))
         assert_allclose(_state_from_angles(e0, 3), [1.0, 0.0, 0.0], atol=1e-12)
+
+
+class TestObjectiveKernels:
+    """The validation-free objectives against the validated, basis-by-basis loops they replace."""
+
+    def test_state_from_angles_matches_loop(self):
+        rng = np.random.default_rng(11)
+        for dim in range(2, 8):
+            for _ in range(300):
+                x = rng.uniform(-4.0, 4.0, size=2 * dim - 2)
+                np.testing.assert_array_equal(_state_from_angles(x, dim), loop_state_from_angles(x, dim))
+
+    @staticmethod
+    def _row_major(chain):
+        """The chain with every basis stored row-major, as the MUB generator and the file
+        reader store them.  The stacked product then equals the per-basis products bit for
+        bit; ``random_basis`` returns column-major arrays, whose per-basis product goes
+        through another BLAS kernel and may differ in the last bit."""
+        return eur.MeasurementChain(
+            tuple(eur.MeasurementBasis(np.ascontiguousarray(b.vectors), b.label) for b in chain)
+        )
+
+    @staticmethod
+    def _points(chain, rng, count=15):
+        """Random angles plus the angles of every vector of the first basis, whose
+        outcome distributions in that basis hold entries below the log cutoff."""
+        dim = chain.dim
+        points = [rng.uniform(-4.0, 4.0, size=2 * dim - 2) for _ in range(count)]
+        return points + [_angles_from_state(v) for v in chain[0].vectors]
+
+    @pytest.mark.parametrize(
+        "orders",
+        [
+            [1.0, 1.0],
+            [1.0, 1.0, 1.0],
+            [math.inf, math.inf],
+            [math.inf, math.inf, math.inf],
+            [2.0, 2.0],
+            [0.5, 0.5, 0.5],
+            [1.0, math.inf],
+            [math.inf, 1.0, 2.0],
+            [0.5, 1.0, math.inf],
+        ],
+    )
+    def test_pure_objective_matches_renyi_sum(self, orders):
+        rng = np.random.default_rng(12)
+        n = len(orders)
+        for dim in range(2, 8):
+            chain = self._row_major(random_chain(dim, n, seed=40 + dim))
+            objective = _pure_objective(chain, orders, [1.0] * n)
+            for x in self._points(chain, rng):
+                assert objective(x) == validated_pure_objective(chain, x, orders, [1.0] * n)
+
+    def test_pure_objective_column_major_bases(self):
+        rng = np.random.default_rng(15)
+        for dim in (2, 3, 5, 8):
+            chain = random_chain(dim, 3, seed=50 + dim)
+            ones = [1.0] * 3
+            objective = _pure_objective(chain, ones, ones)
+            for x in self._points(chain, rng):
+                assert objective(x) == pytest.approx(validated_pure_objective(chain, x, ones, ones), abs=1e-13)
+
+    def test_weighted_objective_matches_renyi_sum(self):
+        rng = np.random.default_rng(13)
+        for dim in range(2, 8):
+            chain = self._row_major(random_chain(dim, 3, seed=60 + dim))
+            objective = _pure_objective(chain, [1.0] * 3, WEIGHTED_WEIGHTS)
+            for x in self._points(chain, rng):
+                assert objective(x) == validated_pure_objective(chain, x, [1.0] * 3, WEIGHTED_WEIGHTS)
+
+    @pytest.mark.parametrize("dim_a,dim_b", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_memory_objective_matches_channel_sum(self, dim_a, dim_b):
+        rng = np.random.default_rng(14)
+        chain = random_chain(dim_a, 3, seed=80 + dim_a)
+        objective = _memory_objective(chain, dim_b)
+        total = dim_a * dim_b
+        product = np.kron(_haar_vector(rng, dim_a), _haar_vector(rng, dim_b))
+        entangled = np.zeros(total, dtype=complex)
+        k = min(dim_a, dim_b)
+        entangled[[i * dim_b + i for i in range(k)]] = 1.0 / math.sqrt(k)
+        points = [rng.uniform(-4.0, 4.0, size=2 * total - 2) for _ in range(20)]
+        points += [_angles_from_state(product), _angles_from_state(entangled)]
+        for x in points:
+            assert abs(objective(x) - validated_memory_objective(chain, x, dim_b)) <= 1e-12
 
 
 class TestEntropySum:
@@ -146,6 +243,17 @@ class TestOptimizerHook:
         eur.minimize_conditional_entropy_sum(mub_chain(2, 2), dim_b=2, config=eur.MinimizationConfig(restarts=3))
         assert calls[0] == 3
 
+    @pytest.mark.parametrize("order", [0, -1, math.nan])
+    def test_bad_order_rejected_before_any_restart(self, calls, order):
+        chain = mub_chain(2, 2)
+        with pytest.raises(ValueError, match="Renyi order must be positive"):
+            eur.minimize_entropy_sum(chain, orders=order)
+        with pytest.raises(ValueError, match="Renyi order must be positive"):
+            eur.minimize_entropy_sum(chain, orders=[1.0, order])
+        assert calls[0] == 0
+        with pytest.raises(ValueError, match="Renyi order must be positive"):
+            eur.entropy_sum(chain, eur.DensityMatrix(np.eye(2) / 2), orders=order)
+
 
 class TestMinimizerGradient:
     def test_small_at_certified_minimum(self):
@@ -189,3 +297,8 @@ class TestMinimizationConfig:
     def test_rejects_bad_iterations(self):
         with pytest.raises(ValueError, match="max_iterations"):
             eur.MinimizationConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            eur.MinimizationConfig(tol=tol)
