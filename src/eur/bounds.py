@@ -77,6 +77,13 @@ def _state_entropy(dim: int, rho: DensityMatrix | None, what: str) -> float:
     return von_neumann_entropy(rho)
 
 
+def _memory_entropy(dim: int, rho: BipartiteState, what: str) -> float:
+    """S(A|B); rejects a joint state whose subsystem A dimension is not ``dim``."""
+    if dim != rho.dim_a:
+        raise ValueError(f"dimension mismatch: {what} dim {dim} vs subsystem A dim {rho.dim_a}")
+    return conditional_entropy(rho)
+
+
 def _deutsch_h(bank: np.ndarray, order) -> float:
     """Largest cyclic product of (1 + sqrt(c)) / 2 factors along ``order``, all start outcomes at once."""
     n = len(order)
@@ -185,26 +192,21 @@ def state_dependent_bound(chain: MeasurementChain, rho: DensityMatrix) -> float:
 
 def berta_two_bound(a: MeasurementBasis, b: MeasurementBasis, rho: BipartiteState) -> float:
     """Memory-assisted two-measurement bound -log2 c(a, b) + S(A|B)."""
-    if a.dim != rho.dim_a:
-        raise ValueError(f"dimension mismatch: basis dim {a.dim} vs subsystem A dim {rho.dim_a}")
-    return _neg_log2(max_overlap(a, b)) + conditional_entropy(rho)
+    return _memory_entropy(a.dim, rho, "basis") + _neg_log2(max_overlap(a, b))
 
 
 def memory_multi_bound(chain: MeasurementChain, rho: BipartiteState) -> float:
     """Memory-assisted chain bound -log2 b + (N - 1) S(A|B)."""
-    if chain.dim != rho.dim_a:
-        raise ValueError(f"dimension mismatch: chain dim {chain.dim} vs subsystem A dim {rho.dim_a}")
-    return mu_multi_bound(chain) + (len(chain) - 1) * conditional_entropy(rho)
+    return mu_multi_bound(chain) + (len(chain) - 1) * _memory_entropy(chain.dim, rho, "chain")
 
 
 def memory_pure_bound(chain: MeasurementChain, rho: BipartiteState) -> float:
     """Pure joint-state improvement -log2 b + S(A|B); rejects mixed inputs."""
-    if chain.dim != rho.dim_a:
-        raise ValueError(f"dimension mismatch: chain dim {chain.dim} vs subsystem A dim {rho.dim_a}")
+    s = _memory_entropy(chain.dim, rho, "chain")
     purity = rho.joint.purity()
     if purity <= 1.0 - PURITY_TOL:
         raise ValueError(f"memory_pure_bound requires a pure joint state, got tr(rho^2) = {purity:.6f}")
-    return mu_multi_bound(chain) + conditional_entropy(rho)
+    return mu_multi_bound(chain) + s
 
 
 def _distinct_cyclic_orders(n: int) -> list[tuple[int, ...]]:
@@ -284,42 +286,26 @@ def build_reports(
     """
     if orders not in ("shannon", "min"):
         raise ValueError(f"orders must be 'shannon' or 'min', got {orders!r}")
-    if rho is not None and chain.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: chain dim {chain.dim} vs state dim {rho.dim}")
+    s = _state_entropy(chain.dim, rho, "chain")
     n = len(chain)
     identity_order = tuple(range(n))
     uses_state = rho is not None
-    reports = []
 
-    if best_order:
-        d_val, d_order = deutsch_multi_bound_best_order(chain)
-    else:
-        d_val, d_order = deutsch_multi_bound(chain), identity_order
-    reports.append(BoundReport(BoundName.DEUTSCH_MULTI, d_val, False, d_order))
+    def searched(search, bound):
+        return search(chain) if best_order else (bound(chain), identity_order)
+
+    d_val, d_order = searched(deutsch_multi_bound_best_order, deutsch_multi_bound)
+    reports = [BoundReport(BoundName.DEUTSCH_MULTI, d_val, False, d_order)]
     if orders == "min":
         return reports
 
-    if best_order:
-        m_val, m_order = mu_multi_bound_best_order(chain)
-    else:
-        m_val, m_order = mu_multi_bound(chain), identity_order
-    if rho is not None:
-        m_val += (n - 1) * von_neumann_entropy(rho)
-    reports.append(BoundReport(BoundName.MU_MULTI, m_val, uses_state, m_order))
+    m_val, m_order = searched(mu_multi_bound_best_order, mu_multi_bound)
+    reports.append(BoundReport(BoundName.MU_MULTI, m_val + (n - 1) * s, uses_state, m_order))
     reports.append(BoundReport(BoundName.SCB_MAX, scb_max_bound(chain, rho), uses_state, identity_order))
     if n == 2:
-        reports.append(
-            BoundReport(BoundName.MU_TWO, mu_two_bound(chain[0], chain[1], rho), uses_state, identity_order)
-        )
+        reports.append(BoundReport(BoundName.MU_TWO, mu_two_bound(*chain, rho), uses_state, identity_order))
     if n == 3:
-        reports.append(
-            BoundReport(
-                BoundName.WEIGHTED,
-                weighted_bound(chain[0], chain[1], chain[2], rho),
-                uses_state,
-                identity_order,
-            )
-        )
+        reports.append(BoundReport(BoundName.WEIGHTED, weighted_bound(*chain, rho), uses_state, identity_order))
     if rho is not None:
         reports.append(
             BoundReport(BoundName.STATE_DEPENDENT, state_dependent_bound(chain, rho), True, identity_order)

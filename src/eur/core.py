@@ -109,7 +109,8 @@ class MeasurementBasis:
     label: str = ""
 
     def __post_init__(self):
-        v = _as_complex_matrix(self.vectors, "basis")
+        # row-major storage, so a basis and its file round trip give bit-identical products
+        v = np.ascontiguousarray(_as_complex_matrix(self.vectors, "basis"))
         gram = v.conj() @ v.T
         d = v.shape[0]
         norm_err = np.abs(np.diag(gram).real - 1.0).max()
@@ -196,10 +197,6 @@ class BipartiteState:
     @property
     def matrix(self) -> np.ndarray:
         return self.joint.matrix
-
-    @classmethod
-    def from_matrix(cls, m, dim_a: int, dim_b: int, validate: bool = True) -> "BipartiteState":
-        return cls(DensityMatrix(m, validate=validate), dim_a, dim_b)
 
     @classmethod
     def from_pure(cls, amplitudes, dim_a: int, dim_b: int) -> "BipartiteState":

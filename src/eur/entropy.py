@@ -97,7 +97,7 @@ def _spectrum_entropy(vals: np.ndarray) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -tr(rho log2 rho) from the clamped eigenvalue spectrum."""
-    return _spectrum_entropy(np.linalg.eigvalsh(rho.matrix))
+    return _plogp_sum(rho.eigenvalues())
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -120,7 +120,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         return INFINITY
     live = ~kernel
     tr_rho_log_sigma = float((weight[live] * np.log2(q[live])).sum())
-    return -_spectrum_entropy(p) - tr_rho_log_sigma
+    return -_plogp_sum(p) - tr_rho_log_sigma
 
 
 def conditional_entropy(rho: BipartiteState) -> float:

@@ -31,7 +31,8 @@ def _decode_complex_matrix(rows, dim: int, what: str) -> np.ndarray:
     return m
 
 
-def _load_json(path) -> dict:
+def _load_json(path, key: str) -> tuple[dict, int]:
+    """The file's object and its ``dim``, after the envelope, key and ``dim`` checks."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -42,7 +43,19 @@ def _load_json(path) -> dict:
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format_version {version!r} (expected {FORMAT_VERSION})")
-    return data
+    for k in ("dim", key):
+        if k not in data:
+            raise ValueError(f"{path}: missing key {k!r}")
+    dim = data["dim"]
+    if not isinstance(dim, int) or dim < 1:
+        raise ValueError(f"{path}: dim must be a positive integer, got {dim!r}")
+    return data, dim
+
+
+def _dump_json(path, dim: int, key: str, value) -> None:
+    with open(path, "w") as fh:
+        json.dump({"format_version": FORMAT_VERSION, "dim": dim, key: value}, fh, indent=1)
+        fh.write("\n")
 
 
 def write_measurement_set(path, bases: Sequence[MeasurementBasis]) -> None:
@@ -52,26 +65,12 @@ def write_measurement_set(path, bases: Sequence[MeasurementBasis]) -> None:
     dims = {b.dim for b in bases}
     if len(dims) != 1:
         raise ValueError(f"measurement set bases have mismatched dimensions: {sorted(dims)}")
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "dim": bases[0].dim,
-        "bases": [
-            {"label": b.label, "vectors": _encode_complex_matrix(b.vectors)} for b in bases
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    entries = [{"label": b.label, "vectors": _encode_complex_matrix(b.vectors)} for b in bases]
+    _dump_json(path, bases[0].dim, "bases", entries)
 
 
 def read_measurement_set(path) -> list[MeasurementBasis]:
-    data = _load_json(path)
-    for key in ("dim", "bases"):
-        if key not in data:
-            raise ValueError(f"{path}: missing key {key!r}")
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"{path}: dim must be a positive integer, got {dim!r}")
+    data, dim = _load_json(path, "bases")
     entries = data["bases"]
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{path}: 'bases' must be a non-empty list")
@@ -92,22 +91,9 @@ def read_chain(path) -> MeasurementChain:
 
 
 def write_density_matrix(path, rho: DensityMatrix) -> None:
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "dim": rho.dim,
-        "matrix": _encode_complex_matrix(rho.matrix),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    _dump_json(path, rho.dim, "matrix", _encode_complex_matrix(rho.matrix))
 
 
 def read_density_matrix(path) -> DensityMatrix:
-    data = _load_json(path)
-    for key in ("dim", "matrix"):
-        if key not in data:
-            raise ValueError(f"{path}: missing key {key!r}")
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"{path}: dim must be a positive integer, got {dim!r}")
+    data, dim = _load_json(path, "matrix")
     return DensityMatrix(_decode_complex_matrix(data["matrix"], dim, f"{path}: matrix"))

@@ -95,8 +95,12 @@ def random_basis(dim: int, seed: int) -> MeasurementBasis:
     return MeasurementBasis(q.T, label=f"haar-{seed}")
 
 
-def random_density_matrix(dim: int, rank: int, seed: int) -> DensityMatrix:
-    """Random mixed state G G^dagger / tr, with G a dim x rank complex Gaussian."""
+def random_density_matrix(dim: int, rank: int, seed) -> DensityMatrix:
+    """Random mixed state G G^dagger / tr, with G a dim x rank complex Gaussian.
+
+    ``seed`` is anything ``np.random.default_rng`` accepts; a numpy Generator
+    is used as is, so the draw continues its stream.
+    """
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be between 1 and dim = {dim}, got {rank}")
     rng = np.random.default_rng(seed)

@@ -39,6 +39,7 @@ from .bounds import (
 )
 from .core import BipartiteState, DensityMatrix, MeasurementChain, PureState, outcome_distribution
 from .entropy import _entropy_rows, measured_conditional_entropy, renyi_entropy, shannon_entropy
+from .generators import random_density_matrix
 
 CERTIFICATION_TOL = 1e-6
 GRADIENT_STEP = 1e-5
@@ -126,12 +127,6 @@ def _angles_from_state(psi: np.ndarray) -> np.ndarray:
 def _haar_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
-
-
-def _random_mixed(rng: np.random.Generator, dim: int, rank: int) -> DensityMatrix:
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, validate=False)
 
 
 def _multistart(objective, dim: int, config: MinimizationConfig, stream: int):
@@ -272,7 +267,7 @@ def minimize_conditional_entropy_sum(
     rng = np.random.default_rng([config.seed, 3])
     for _ in range(MIXED_SPOT_SAMPLES):
         rank = int(rng.integers(1, total + 1))
-        rho = BipartiteState(_random_mixed(rng, total, rank), da, dim_b)
+        rho = BipartiteState(random_density_matrix(total, rank, rng), da, dim_b)
         gap = sum(measured_conditional_entropy(b, rho) for b in chain) - memory_multi_bound(chain, rho)
         slacks[BoundName.MEMORY_MULTI] = min(slacks[BoundName.MEMORY_MULTI], gap)
 
@@ -280,16 +275,16 @@ def minimize_conditional_entropy_sum(
     return VerificationResult(value, rho_best, slacks, certified, converged)
 
 
-def minimizer_gradient_max(chain: MeasurementChain, psi: PureState, orders=1.0, step: float = GRADIENT_STEP) -> float:
-    """Largest central-difference gradient component of the objective at psi."""
+def minimizer_gradient_max(chain: MeasurementChain, psi: PureState, orders=1.0) -> float:
+    """Largest central-difference gradient component of the objective at psi, step ``GRADIENT_STEP``."""
     ords = _broadcast_orders(orders, len(chain))
     objective = _pure_objective(chain, ords, [1.0] * len(chain))
     x = _angles_from_state(psi.amplitudes)
     worst = 0.0
     for k in range(x.size):
         e = np.zeros_like(x)
-        e[k] = step
-        worst = max(worst, abs(objective(x + e) - objective(x - e)) / (2.0 * step))
+        e[k] = GRADIENT_STEP
+        worst = max(worst, abs(objective(x + e) - objective(x - e)) / (2.0 * GRADIENT_STEP))
     return worst
 
 
@@ -311,23 +306,22 @@ def spot_check_inequalities(chain: MeasurementChain, samples: int = 200, seed: i
 
     for _ in range(samples):
         pure = PureState(_haar_vector(rng, d)).projector()
-        mixed = _random_mixed(rng, d, int(rng.integers(1, d + 1)))
+        mixed = random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
         for rho in (pure, mixed):
-            h = [shannon_entropy(outcome_distribution(b, rho)) for b in chain]
-            h_min = [renyi_entropy(outcome_distribution(b, rho), math.inf) for b in chain]
+            probs = [outcome_distribution(b, rho) for b in chain]
+            h = [shannon_entropy(p) for p in probs]
+            h_min = [renyi_entropy(p, math.inf) for p in probs]
             update(BoundName.DEUTSCH_MULTI, sum(h_min) - deutsch_multi_bound(chain))
             update(BoundName.MU_MULTI, sum(h) - mu_multi_bound_with_state(chain, rho))
             update(BoundName.STATE_DEPENDENT, sum(h) - state_dependent_bound(chain, rho))
             update(BoundName.SCB_MAX, sum(h) - scb_max_bound(chain, rho))
             update(BoundName.MU_TWO, h[0] + h[1] - mu_two_bound(chain[0], chain[1], rho))
             if n == 3:
-                update(
-                    BoundName.WEIGHTED,
-                    h[0] + h[1] + 2.0 * h[2] - weighted_bound(chain[0], chain[1], chain[2], rho),
-                )
+                lhs = sum(w * hm for w, hm in zip(WEIGHTED_WEIGHTS, h))
+                update(BoundName.WEIGHTED, lhs - weighted_bound(*chain, rho))
 
         pure_ab = BipartiteState.from_pure(_haar_vector(rng, d * d), d, d)
-        mixed_ab = BipartiteState(_random_mixed(rng, d * d, int(rng.integers(1, d * d + 1))), d, d)
+        mixed_ab = BipartiteState(random_density_matrix(d * d, int(rng.integers(1, d * d + 1)), rng), d, d)
         for rho_ab, is_pure in ((pure_ab, True), (mixed_ab, False)):
             hc = [measured_conditional_entropy(b, rho_ab) for b in chain]
             update(BoundName.MEMORY_MULTI, sum(hc) - memory_multi_bound(chain, rho_ab))

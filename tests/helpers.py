@@ -144,6 +144,13 @@ def random_bipartite_pure(dim_a, dim_b, seed):
     return eur.BipartiteState.from_pure(z / np.linalg.norm(z), dim_a, dim_b)
 
 
+def random_mixed(rng, dim, rank):
+    """G G^dagger / tr from the Generator ``rng``, G a dim x rank complex Gaussian, unvalidated."""
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    return eur.DensityMatrix(m / np.trace(m).real, validate=False)
+
+
 def random_bipartite_mixed(dim_a, dim_b, rank, seed):
     return eur.BipartiteState(eur.random_density_matrix(dim_a * dim_b, rank, seed), dim_a, dim_b)
 

@@ -289,6 +289,17 @@ class TestMemoryBounds:
         with pytest.raises(ValueError, match="mismatch"):
             eur.berta_two_bound(eur.computational_basis(2), eur.computational_basis(2), me)
 
+    def test_dimension_mismatch_messages(self):
+        chain = mub_chain(2, 3)
+        for state in (eur.maximally_entangled(3), random_bipartite_mixed(3, 2, rank=4, seed=5)):
+            for bound in (eur.memory_multi_bound, eur.memory_pure_bound):
+                with pytest.raises(ValueError) as exc:
+                    bound(chain, state)
+                assert str(exc.value) == "dimension mismatch: chain dim 2 vs subsystem A dim 3"
+            with pytest.raises(ValueError) as exc:
+                eur.berta_two_bound(chain[0], chain[1], state)
+            assert str(exc.value) == "dimension mismatch: basis dim 2 vs subsystem A dim 3"
+
 
 class TestOrderSearch:
     def test_distinct_cyclic_order_counts(self):
@@ -406,3 +417,13 @@ class TestBuildReports:
         best = {r.bound_name: r for r in eur.build_reports(chain, best_order=True)}
         assert best[BoundName.MU_MULTI].value >= default[BoundName.MU_MULTI].value - 1e-12
         assert sorted(best[BoundName.MU_MULTI].chain_order) == [0, 1, 2]
+
+    def test_best_order_values_match_reordered_chain(self):
+        for seed in range(30):
+            dim, n = 2 + seed % 3, 2 + seed % 4
+            chain = random_chain(dim, n, seed=900 + seed)
+            rho = eur.random_density_matrix(dim, 1 + seed % dim, seed=950 + seed)
+            by_name = {r.bound_name: r for r in eur.build_reports(chain, rho, best_order=True)}
+            mu, deutsch = by_name[BoundName.MU_MULTI], by_name[BoundName.DEUTSCH_MULTI]
+            assert mu.value == eur.mu_multi_bound_with_state(chain.reordered(mu.chain_order), rho)
+            assert deutsch.value == eur.deutsch_multi_bound(chain.reordered(deutsch.chain_order))

@@ -12,6 +12,97 @@ from eur.fileio import (
     write_density_matrix,
     write_measurement_set,
 )
+from eur.verifier import _pure_objective
+
+# The complete files the writers produce for a labelled qubit set and a 2 x 2
+# density matrix: key order, indentation, float repr and the final newline.
+QUBIT_SET_TEXT = """\
+{
+ "format_version": 1,
+ "dim": 2,
+ "bases": [
+  {
+   "label": "z",
+   "vectors": [
+    [
+     [
+      1.0,
+      0.0
+     ],
+     [
+      0.0,
+      0.0
+     ]
+    ],
+    [
+     [
+      0.0,
+      0.0
+     ],
+     [
+      1.0,
+      0.0
+     ]
+    ]
+   ]
+  },
+  {
+   "label": "x",
+   "vectors": [
+    [
+     [
+      0.7071067811865475,
+      0.0
+     ],
+     [
+      0.7071067811865475,
+      0.0
+     ]
+    ],
+    [
+     [
+      0.7071067811865475,
+      0.0
+     ],
+     [
+      -0.7071067811865475,
+      0.0
+     ]
+    ]
+   ]
+  }
+ ]
+}
+"""
+
+DENSITY_MATRIX_TEXT = """\
+{
+ "format_version": 1,
+ "dim": 2,
+ "matrix": [
+  [
+   [
+    0.75,
+    0.0
+   ],
+   [
+    0.25,
+    -0.25
+   ]
+  ],
+  [
+   [
+    0.25,
+    0.25
+   ],
+   [
+    0.25,
+    0.0
+   ]
+  ]
+ ]
+}
+"""
 
 
 def write_json(path, payload):
@@ -157,3 +248,45 @@ class TestDensityMatrixFiles:
         )
         with pytest.raises(ValueError, match="trace"):
             read_density_matrix(path)
+
+
+class TestGoldenFiles:
+    def test_measurement_set_text(self, tmp_path):
+        bases = [
+            eur.MeasurementBasis(np.eye(2), label="z"),
+            eur.MeasurementBasis(np.array([[1, 1], [1, -1]]) / np.sqrt(2), label="x"),
+        ]
+        path = tmp_path / "set.json"
+        write_measurement_set(path, bases)
+        assert path.read_text() == QUBIT_SET_TEXT
+
+    def test_density_matrix_text(self, tmp_path):
+        path = tmp_path / "rho.json"
+        write_density_matrix(path, eur.DensityMatrix([[0.75, 0.25 - 0.25j], [0.25 + 0.25j, 0.25]]))
+        assert path.read_text() == DENSITY_MATRIX_TEXT
+
+
+class TestGeneratedChainRoundTrip:
+    """A generated chain and its own file round trip give bit-identical results."""
+
+    def test_objectives_equal_after_round_trip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "chain.json"
+        ones = [1.0] * 5
+        for seed in range(5):
+            bases = [eur.random_basis(4, seed=100 * seed + k) for k in range(5)]
+            assert all(b.vectors.flags.c_contiguous for b in bases)
+            write_measurement_set(path, bases)
+            chain, back = eur.MeasurementChain(tuple(bases)), read_chain(path)
+            assert np.array_equal(chain.overlaps, back.overlaps)
+            f, g = _pure_objective(chain, ones, ones), _pure_objective(back, ones, ones)
+            for x in rng.uniform(-4.0, 4.0, size=(50, 6)):
+                assert f(x) == g(x)
+
+    def test_minimum_equal_after_round_trip(self, tmp_path):
+        bases = [eur.random_basis(3, seed=k) for k in range(3)]
+        path = tmp_path / "chain.json"
+        write_measurement_set(path, bases)
+        config = eur.MinimizationConfig(restarts=4, seed=0)
+        library = eur.minimize_entropy_sum(eur.MeasurementChain(tuple(bases)), config=config)
+        assert library.objective_min == eur.minimize_entropy_sum(read_chain(path), config=config).objective_min

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import eur
+from helpers import random_mixed
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -140,6 +141,15 @@ class TestRandomDensityMatrix:
             eur.random_density_matrix(3, 0, seed=0)
         with pytest.raises(ValueError, match="rank"):
             eur.random_density_matrix(3, 4, seed=0)
+
+    def test_generator_seed_continues_its_stream(self):
+        """With a Generator as seed the draws match the verifier's former private sampler."""
+        ours, oracle = np.random.default_rng([7, 4]), np.random.default_rng([7, 4])
+        for dim in (2, 3, 4, 9):
+            for rank in range(1, dim + 1):
+                got = eur.random_density_matrix(dim, rank, ours)
+                assert np.array_equal(got.matrix, random_mixed(oracle, dim, rank).matrix)
+        assert ours.random() == oracle.random()
 
 
 class TestMaximallyEntangled:
