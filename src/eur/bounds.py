@@ -34,6 +34,7 @@ from .core import (
     DensityMatrix,
     MeasurementBasis,
     MeasurementChain,
+    _mixture,
     max_overlap,
     outcome_distribution,
     overlap_table,
@@ -142,23 +143,31 @@ def weighted_bound(
     return _neg_log2(m) + 2.0 * _state_entropy(u.dim, rho, "basis")
 
 
+def _scb_terms(chain: MeasurementChain) -> tuple[float, float]:
+    """State-free parts of the SCB candidates: the best pair term max_{i<j} -log2 c(M_i, M_j),
+    and half the cycle sum -1/2 sum_m log2 c(M_m, M_m+1) in input order (-inf for N = 2)."""
+    n, c = len(chain), chain.overlaps.max(axis=(2, 3))
+    pair = max(_neg_log2(c[i, j]) for i in range(n) for j in range(i + 1, n))
+    cycle = sum(-np.log2(c[m, (m + 1) % n]) for m in range(n))
+    return pair, 0.5 * float(cycle) + 0.0 if n >= 3 else -math.inf
+
+
 def scb_max_bound(chain: MeasurementChain, rho: DensityMatrix | None = None) -> float:
     """Best bound obtainable by summing two-measurement bounds over the chain.
 
     Candidates: every pair bound -log2 c(M_i, M_j) + S(rho), and for N >= 3 the
     full cycle in input order, -1/2 sum_m log2 c(M_m, M_m+1) + (N/2) S(rho).
     """
-    n = len(chain)
     s = _state_entropy(chain.dim, rho, "chain")
-    c = chain.overlaps.max(axis=(2, 3))
-    candidates = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            candidates.append(_neg_log2(c[i, j]) + s)
-    if n >= 3:
-        cycle = sum(-np.log2(c[m, (m + 1) % n]) for m in range(n))
-        candidates.append(0.5 * float(cycle) + 0.0 + 0.5 * n * s)
-    return max(candidates)
+    pair, cycle = _scb_terms(chain)
+    return max(pair + s, cycle + 0.5 * len(chain) * s)
+
+
+def _push_weights(chain: MeasurementChain, w: np.ndarray) -> np.ndarray:
+    """Push first-basis outcome weights, (d,) or (S, d), through every consecutive overlap table."""
+    for m in range(len(chain) - 1):
+        w = w @ chain.overlaps[m, m + 1]
+    return w
 
 
 def chain_coefficients(chain: MeasurementChain, rho: DensityMatrix) -> np.ndarray:
@@ -170,10 +179,7 @@ def chain_coefficients(chain: MeasurementChain, rho: DensityMatrix) -> np.ndarra
     """
     if chain.dim != rho.dim:
         raise ValueError(f"dimension mismatch: chain dim {chain.dim} vs state dim {rho.dim}")
-    w = outcome_distribution(chain[0], rho)
-    for m in range(len(chain) - 1):
-        w = w @ chain.overlaps[m, m + 1]
-    return w
+    return _push_weights(chain, outcome_distribution(chain[0], rho))
 
 
 def state_dependent_bound(chain: MeasurementChain, rho: DensityMatrix) -> float:
@@ -183,10 +189,7 @@ def state_dependent_bound(chain: MeasurementChain, rho: DensityMatrix) -> float:
     ``math.inf`` if rho has support where the chain weights vanish.
     """
     beta = chain_coefficients(chain, rho)
-    beta = beta / beta.sum()
-    v = chain[len(chain) - 1].vectors
-    sigma = (v.T * beta) @ v.conj()
-    sigma = DensityMatrix(0.5 * (sigma + sigma.conj().T), validate=False)
+    sigma = DensityMatrix(_mixture(chain[len(chain) - 1].vectors, beta / beta.sum()), validate=False)
     return len(chain) * von_neumann_entropy(rho) + relative_entropy(rho, sigma)
 
 

@@ -104,13 +104,15 @@ def cmd_scan(args) -> int:
 def cmd_verify(args) -> int:
     if args.mode == "memory" and args.orders is not None:
         raise ValueError("--orders applies to --mode state only")
+    if args.mode == "state" and args.dim_b is not None:
+        raise ValueError("--dim-b applies to --mode memory only")
     chain = read_chain(args.input)
     config = MinimizationConfig(restarts=args.restarts, seed=args.seed)
     if args.mode == "state":
         orders = math.inf if args.orders == "min" else 1.0
         result = minimize_entropy_sum(chain, orders, config)
     else:
-        result = minimize_conditional_entropy_sum(chain, args.dim_b, config)
+        result = minimize_conditional_entropy_sum(chain, 2 if args.dim_b is None else args.dim_b, config)
     spots = spot_check_inequalities(chain, samples=args.samples, seed=args.seed)
 
     print(f"objective_min = {result.objective_min:.12g}")
@@ -174,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="certify the bounds by entropy-sum minimization")
     p_verify.add_argument("--input", required=True, help="measurement-set JSON file")
     p_verify.add_argument("--mode", choices=["state", "memory"], required=True)
-    p_verify.add_argument("--dim-b", type=int, default=2, help="memory dimension (memory mode)")
+    p_verify.add_argument("--dim-b", type=int, default=None, help="memory dimension (memory mode; default 2)")
     p_verify.add_argument("--orders", choices=["shannon", "min"], default=None)  # state mode; None is shannon
     p_verify.add_argument("--restarts", type=int, default=64)
     p_verify.add_argument("--samples", type=int, default=200, help="spot-check rounds")

@@ -226,23 +226,29 @@ def max_overlap(a: MeasurementBasis, b: MeasurementBasis) -> float:
     return float(overlap_table(a, b).max())
 
 
-def outcome_distribution(basis: MeasurementBasis, rho: DensityMatrix) -> np.ndarray:
-    """Born probabilities p_i = <u_i|rho|u_i>, tiny negatives clamped to 0."""
-    _check_same_dim(basis.dim, rho.dim, "outcome_distribution")
-    v = basis.vectors
-    p = np.einsum("ij,jk,ik->i", v.conj(), rho.matrix, v).real
+def _born_probabilities(bras: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """<u_i|rho|u_i> for the rows <u_i| of ``bras`` and each rho of the (..., d, d) stack, unvalidated."""
+    p = np.einsum("ij,...jk,ik->...i", bras, mats, bras.conj()).real
     if p.min() < -PROB_CLAMP:
         raise ValueError(f"outcome probability below clamp window: {p.min():.3e}")
     return np.where(p < 0.0, 0.0, p)
 
 
+def outcome_distribution(basis: MeasurementBasis, rho: DensityMatrix) -> np.ndarray:
+    """Born probabilities p_i = <u_i|rho|u_i>, tiny negatives clamped to 0."""
+    _check_same_dim(basis.dim, rho.dim, "outcome_distribution")
+    return _born_probabilities(basis.vectors.conj(), rho.matrix)
+
+
+def _mixture(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i w_i |u_i><u_i| over the rows u_i of ``vectors``, per weight vector of the (..., d) ``weights``."""
+    out = (vectors.T * weights[..., None, :]) @ vectors.conj()
+    return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
+
+
 def measurement_channel(basis: MeasurementBasis, rho: DensityMatrix) -> DensityMatrix:
     """Dephase rho in the given basis: sum_i <u_i|rho|u_i> |u_i><u_i|."""
-    p = outcome_distribution(basis, rho)
-    v = basis.vectors
-    out = (v.T * p) @ v.conj()
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out, validate=False)
+    return DensityMatrix(_mixture(basis.vectors, outcome_distribution(basis, rho)), validate=False)
 
 
 def bipartite_measurement_channel(basis: MeasurementBasis, rho: BipartiteState) -> BipartiteState:
@@ -259,11 +265,12 @@ def bipartite_measurement_channel(basis: MeasurementBasis, rho: BipartiteState) 
 
 
 def _partial_trace_matrix(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    r = m.reshape(dim_a, dim_b, dim_a, dim_b)
+    """Reduced matrix of every joint matrix in the (..., dA dB, dA dB) stack ``m``."""
+    r = m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     if keep == "A":
-        return np.einsum("abcb->ac", r)
+        return np.einsum("...abcb->...ac", r)
     if keep == "B":
-        return np.einsum("abad->bd", r)
+        return np.einsum("...abad->...bd", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 

@@ -12,8 +12,6 @@ from .core import (
     MeasurementBasis,
     _partial_trace_matrix,
     bipartite_measurement_channel,
-    outcome_distribution,
-    partial_trace,
 )
 
 INFINITY = math.inf
@@ -42,7 +40,8 @@ def _clean_probs(p) -> np.ndarray:
 def _entropy_rows(p: np.ndarray, alphas) -> np.ndarray:
     """Renyi entropy of each row of the (R, d) array ``p``, row r of order ``alphas[r]``.
 
-    No validation: rows must be probability vectors and orders positive.
+    With a single order, ``p`` may be any (..., d) stack of rows.  No
+    validation: rows must be probability vectors and orders positive.
     Entries at or below ``LOG_CUTOFF`` contribute 0 to the Shannon sum, so a
     row of length d <= 7 gives the same bits as summing only its kept entries.
     """
@@ -90,14 +89,46 @@ def renyi_entropy(p, alpha: float) -> float:
     return float(_entropy_rows(p[None, :], (alpha,))[0])
 
 
-def _spectrum_entropy(vals: np.ndarray) -> float:
-    vals = np.where(vals < 0.0, 0.0, vals)
-    return _plogp_sum(vals)
+def _spectra(mats: np.ndarray) -> np.ndarray:
+    """Clamped eigenvalues of each Hermitian matrix of the (..., d, d) stack, from one ``eigvalsh``."""
+    vals = np.linalg.eigvalsh(mats)
+    return np.where(vals < 0.0, 0.0, vals)
+
+
+def _relative_entropies(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """S(rho || sigma) for each pair of two (..., d, d) stacks, one ``eigh`` per stack, no validation."""
+    p, pv = np.linalg.eigh(rhos)
+    q, qv = np.linalg.eigh(sigmas)
+    p, q = np.where(p < 0.0, 0.0, p), np.where(q < 0.0, 0.0, q)
+    # weight[..., j] = <s_j|rho|s_j> resolved in sigma's eigenbasis
+    weight = (p[..., :, None] * np.abs(np.swapaxes(pv.conj(), -1, -2) @ qv) ** 2).sum(axis=-2)
+    kernel = q <= SUPPORT_TOL
+    tr_rho_log_sigma = (weight * np.log2(np.where(kernel, 1.0, q))).sum(axis=-1)
+    out = -_entropy_rows(p, (1.0,)) - tr_rho_log_sigma
+    return np.where(np.where(kernel, weight, 0.0).sum(axis=-1) > SUPPORT_TOL, INFINITY, out)
+
+
+def _memory_entropies(joints: np.ndarray, dim_a: int, dim_b: int, bras: np.ndarray | None = None):
+    """S(A|B) of every joint matrix in the (..., dA dB, dA dB) stack, and with the (N dA, dA)
+    stacked bras of N bases on A also H(M|B) per basis (one more axis).  No validation.
+
+    S(A|B) = S(AB) - S(B) and H(M|B) = S(MB) - S(B).  Measuring A leaves a
+    block-diagonal state with blocks <u_i|rho|u_i>, so S(MB) is the entropy of
+    the blocks' joint spectrum.
+    """
+    s_b = _entropy_rows(_spectra(_partial_trace_matrix(joints, dim_a, dim_b, "B")), (1.0,))
+    s_a_given_b = _entropy_rows(_spectra(joints), (1.0,)) - s_b
+    if bras is None:
+        return s_a_given_b
+    r = joints.reshape(joints.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
+    blocks = np.einsum("ia,...abcd,ic->...ibd", bras, r, bras.conj())
+    vals = _spectra(blocks).reshape(blocks.shape[:-3] + (-1, dim_a * dim_b))
+    return s_a_given_b, _entropy_rows(vals, (1.0,)) - s_b[..., None]
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -tr(rho log2 rho) from the clamped eigenvalue spectrum."""
-    return _plogp_sum(rho.eigenvalues())
+    return _plogp_sum(_spectra(rho.matrix))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -108,24 +139,12 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch in relative_entropy: {rho.dim} vs {sigma.dim}")
-    p, pv = np.linalg.eigh(rho.matrix)
-    q, qv = np.linalg.eigh(sigma.matrix)
-    p = np.where(p < 0.0, 0.0, p)
-    q = np.where(q < 0.0, 0.0, q)
-    # weight[j] = <s_j|rho|s_j> resolved in sigma's eigenbasis
-    cross = np.abs(pv.conj().T @ qv) ** 2
-    weight = p @ cross
-    kernel = q <= SUPPORT_TOL
-    if weight[kernel].sum() > SUPPORT_TOL:
-        return INFINITY
-    live = ~kernel
-    tr_rho_log_sigma = float((weight[live] * np.log2(q[live])).sum())
-    return -_plogp_sum(p) - tr_rho_log_sigma
+    return float(_relative_entropies(rho.matrix, sigma.matrix))
 
 
 def conditional_entropy(rho: BipartiteState) -> float:
     """S(A|B) = S(rho_AB) - S(rho_B)."""
-    return von_neumann_entropy(rho.joint) - von_neumann_entropy(partial_trace(rho, "B"))
+    return float(_memory_entropies(rho.matrix, rho.dim_a, rho.dim_b))
 
 
 def measured_conditional_entropy(basis: MeasurementBasis, rho: BipartiteState) -> float:
@@ -134,26 +153,12 @@ def measured_conditional_entropy(basis: MeasurementBasis, rho: BipartiteState) -
 
 
 def holevo_conditional_entropy(basis: MeasurementBasis, rho: BipartiteState) -> float:
-    """H(M|B) in accessible-information form: H(M) - [S(rho_B) - sum_j p_j S(rho_B|j)].
+    """H(M|B) in accessible-information form, H(M) + sum_j p_j S(rho_B|j) - S(rho_B).
 
-    Agrees with :func:`measured_conditional_entropy`; outcomes with
-    probability below 1e-14 are skipped.
+    The first two terms are the entropy of the joint spectrum of the memory
+    blocks <u_j|rho|u_j>, which ``_memory_entropies`` takes in one batch.
+    Agrees with :func:`measured_conditional_entropy`, which dephases the whole state.
     """
     if basis.dim != rho.dim_a:
         raise ValueError(f"dimension mismatch in holevo_conditional_entropy: {basis.dim} vs {rho.dim_a}")
-    da, db = rho.dim_a, rho.dim_b
-    r = rho.matrix.reshape(da, db, da, db)
-    v = basis.vectors
-    # conditional (unnormalized) memory states <u_j|rho|u_j> on B
-    blocks = np.einsum("ja,abcd,jc->jbd", v.conj(), r, v)
-    probs = np.einsum("jbb->j", blocks).real
-    probs = np.where(probs < 0.0, 0.0, probs)
-    s_b = _spectrum_entropy(np.linalg.eigvalsh(_partial_trace_matrix(rho.matrix, da, db, "B")))
-    avg_cond = 0.0
-    for j in range(da):
-        if probs[j] < 1e-14:
-            continue
-        vals = np.linalg.eigvalsh(0.5 * (blocks[j] + blocks[j].conj().T)) / probs[j]
-        avg_cond += probs[j] * _spectrum_entropy(vals)
-    holevo = s_b - avg_cond
-    return shannon_entropy(probs / probs.sum()) - holevo
+    return float(_memory_entropies(rho.matrix, rho.dim_a, rho.dim_b, basis.vectors.conj())[1][0])

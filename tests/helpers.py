@@ -11,8 +11,24 @@ from itertools import permutations, product
 import numpy as np
 
 import eur
-from eur.bounds import _mu_b, _neg_log2
-from eur.entropy import LOG_CUTOFF, measured_conditional_entropy, renyi_entropy
+from eur.bounds import (
+    BoundName,
+    _mu_b,
+    _neg_log2,
+    berta_two_bound,
+    deutsch_multi_bound,
+    memory_multi_bound,
+    memory_pure_bound,
+    mu_multi_bound_with_state,
+    mu_two_bound,
+    scb_max_bound,
+    state_dependent_bound,
+    weighted_bound,
+)
+from eur.core import BipartiteState, PureState, outcome_distribution
+from eur.entropy import LOG_CUTOFF, measured_conditional_entropy, renyi_entropy, shannon_entropy
+from eur.generators import random_density_matrix
+from eur.verifier import MIXED_SPOT_SAMPLES, WEIGHTED_WEIGHTS, _haar_vector
 
 
 def brute_force_mu_b(chain):
@@ -157,3 +173,64 @@ def random_bipartite_mixed(dim_a, dim_b, rank, seed):
 
 def mub_chain(dim, count):
     return eur.MeasurementChain(tuple(eur.mub_set(dim, count)))
+
+
+def loop_spot_check_inequalities(chain, samples=200, seed=0):
+    """Spot checks one sample at a time through the validated bound functions.
+
+    Each round draws a Haar-random pure state, a random mixed state, and pure
+    and mixed bipartite states with a memory of the chain's own dimension.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng([seed, 4])
+    d = chain.dim
+    n = len(chain)
+    worst: dict = {}
+
+    def update(name, gap):
+        worst[name] = min(worst.get(name, math.inf), gap)
+
+    for _ in range(samples):
+        pure = PureState(_haar_vector(rng, d)).projector()
+        mixed = random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
+        for rho in (pure, mixed):
+            probs = [outcome_distribution(b, rho) for b in chain]
+            h = [shannon_entropy(p) for p in probs]
+            h_min = [renyi_entropy(p, math.inf) for p in probs]
+            update(BoundName.DEUTSCH_MULTI, sum(h_min) - deutsch_multi_bound(chain))
+            update(BoundName.MU_MULTI, sum(h) - mu_multi_bound_with_state(chain, rho))
+            update(BoundName.STATE_DEPENDENT, sum(h) - state_dependent_bound(chain, rho))
+            update(BoundName.SCB_MAX, sum(h) - scb_max_bound(chain, rho))
+            update(BoundName.MU_TWO, h[0] + h[1] - mu_two_bound(chain[0], chain[1], rho))
+            if n == 3:
+                lhs = sum(w * hm for w, hm in zip(WEIGHTED_WEIGHTS, h))
+                update(BoundName.WEIGHTED, lhs - weighted_bound(*chain, rho))
+
+        pure_ab = BipartiteState.from_pure(_haar_vector(rng, d * d), d, d)
+        mixed_ab = BipartiteState(random_density_matrix(d * d, int(rng.integers(1, d * d + 1)), rng), d, d)
+        for rho_ab, is_pure in ((pure_ab, True), (mixed_ab, False)):
+            hc = [measured_conditional_entropy(b, rho_ab) for b in chain]
+            update(BoundName.MEMORY_MULTI, sum(hc) - memory_multi_bound(chain, rho_ab))
+            if is_pure:
+                update(BoundName.MEMORY_PURE, sum(hc) - memory_pure_bound(chain, rho_ab))
+            for m in range(n - 1):
+                update(
+                    BoundName.BERTA_TWO,
+                    hc[m] + hc[m + 1] - berta_two_bound(chain[m], chain[m + 1], rho_ab),
+                )
+    return worst
+
+
+def loop_mixed_memory_gap(chain, dim_b, seed):
+    """Worst MEMORY_MULTI gap over memory mode's random mixed joint states, one state at a time."""
+    da = chain.dim
+    total = da * dim_b
+    rng = np.random.default_rng([seed, 3])
+    worst = math.inf
+    for _ in range(MIXED_SPOT_SAMPLES):
+        rank = int(rng.integers(1, total + 1))
+        rho = BipartiteState(random_density_matrix(total, rank, rng), da, dim_b)
+        gap = sum(measured_conditional_entropy(b, rho) for b in chain) - memory_multi_bound(chain, rho)
+        worst = min(worst, gap)
+    return worst

@@ -245,6 +245,26 @@ class TestVerify:
             assert rc == 2
             assert "--orders applies to --mode state only" in capsys.readouterr().err
 
+    def test_dim_b_rejected_in_state_mode(self, mub_pair_file, capsys):
+        for dim_b in ("2", "5"):
+            rc = main(
+                [
+                    "verify", "--input", mub_pair_file, "--mode", "state",
+                    "--dim-b", dim_b, "--restarts", "1", "--samples", "1",
+                ]
+            )
+            assert rc == 2
+            assert "--dim-b applies to --mode memory only" in capsys.readouterr().err
+
+    def test_memory_mode_defaults_to_qubit_memory(self, mub_pair_file, capsys):
+        argv = ["verify", "--input", mub_pair_file, "--mode", "memory", "--restarts", "2", "--samples", "2"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--dim-b", "2"]) == 0
+        assert capsys.readouterr().out == default
+        assert main(argv + ["--dim-b", "3"]) == 0
+        assert capsys.readouterr().out != default
+
     def test_state_mode_defaults_to_shannon(self, mub_pair_file, capsys):
         argv = ["verify", "--input", mub_pair_file, "--mode", "state", "--restarts", "2", "--samples", "2"]
         assert main(argv) == 0

@@ -5,9 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import eur
+from eur import verifier
 from eur.bounds import BoundName
 from eur.core import PureState
 from eur.verifier import (
+    SPOT_BLOCK,
     WEIGHTED_WEIGHTS,
     _angles_from_state,
     _haar_vector,
@@ -16,6 +18,8 @@ from eur.verifier import (
     _state_from_angles,
 )
 from helpers import (
+    loop_mixed_memory_gap,
+    loop_spot_check_inequalities,
     loop_state_from_angles,
     mub_chain,
     random_chain,
@@ -61,16 +65,6 @@ class TestObjectiveKernels:
                 np.testing.assert_array_equal(_state_from_angles(x, dim), loop_state_from_angles(x, dim))
 
     @staticmethod
-    def _row_major(chain):
-        """The chain with every basis stored row-major, as the MUB generator and the file
-        reader store them.  The stacked product then equals the per-basis products bit for
-        bit; ``random_basis`` returns column-major arrays, whose per-basis product goes
-        through another BLAS kernel and may differ in the last bit."""
-        return eur.MeasurementChain(
-            tuple(eur.MeasurementBasis(np.ascontiguousarray(b.vectors), b.label) for b in chain)
-        )
-
-    @staticmethod
     def _points(chain, rng, count=15):
         """Random angles plus the angles of every vector of the first basis, whose
         outcome distributions in that basis hold entries below the log cutoff."""
@@ -96,24 +90,27 @@ class TestObjectiveKernels:
         rng = np.random.default_rng(12)
         n = len(orders)
         for dim in range(2, 8):
-            chain = self._row_major(random_chain(dim, n, seed=40 + dim))
+            chain = random_chain(dim, n, seed=40 + dim)
             objective = _pure_objective(chain, orders, [1.0] * n)
             for x in self._points(chain, rng):
                 assert objective(x) == validated_pure_objective(chain, x, orders, [1.0] * n)
 
     def test_pure_objective_column_major_bases(self):
+        """``random_basis`` builds its vectors as a column-major (transposed QR) array;
+        ``MeasurementBasis`` stores every basis row-major, so the stacked product equals the
+        per-basis products bit for bit, as for bases read from a file."""
         rng = np.random.default_rng(15)
         for dim in (2, 3, 5, 8):
             chain = random_chain(dim, 3, seed=50 + dim)
             ones = [1.0] * 3
             objective = _pure_objective(chain, ones, ones)
             for x in self._points(chain, rng):
-                assert objective(x) == pytest.approx(validated_pure_objective(chain, x, ones, ones), abs=1e-13)
+                assert objective(x) == validated_pure_objective(chain, x, ones, ones)
 
     def test_weighted_objective_matches_renyi_sum(self):
         rng = np.random.default_rng(13)
         for dim in range(2, 8):
-            chain = self._row_major(random_chain(dim, 3, seed=60 + dim))
+            chain = random_chain(dim, 3, seed=60 + dim)
             objective = _pure_objective(chain, [1.0] * 3, WEIGHTED_WEIGHTS)
             for x in self._points(chain, rng):
                 assert objective(x) == validated_pure_objective(chain, x, [1.0] * 3, WEIGHTED_WEIGHTS)
@@ -206,6 +203,15 @@ class TestMinimizeConditionalEntropySum:
         result = eur.minimize_conditional_entropy_sum(mub_chain(2, 2), dim_b=1, config=FAST)
         assert result.objective_min == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("dim_a,dim_b", [(2, 1), (2, 2), (3, 2), (2, 3)])
+    def test_mixed_samples_match_per_state_loop(self, dim_a, dim_b):
+        chain = mub_chain(2, 3) if dim_a == 2 else random_chain(dim_a, 3, seed=7)
+        config = eur.MinimizationConfig(restarts=2, seed=5)
+        result = eur.minimize_conditional_entropy_sum(chain, dim_b, config)
+        pure_gap = result.objective_min - eur.memory_multi_bound(chain, result.minimizer)
+        expected = min(pure_gap, loop_mixed_memory_gap(chain, dim_b, config.seed))
+        assert abs(result.slack_per_bound[BoundName.MEMORY_MULTI] - expected) <= 1e-12
+
     def test_rejects_bad_memory_dim(self):
         with pytest.raises(ValueError, match="dim_b"):
             eur.minimize_conditional_entropy_sum(mub_chain(2, 2), dim_b=0)
@@ -287,6 +293,54 @@ class TestSpotCheck:
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValueError, match="samples"):
             eur.spot_check_inequalities(mub_chain(2, 2), samples=0)
+
+    @pytest.mark.parametrize(
+        "chain,samples,seeds",
+        [(mub_chain(2, 3), 150, (0, 1, 2)), (mub_chain(3, 4), 30, (0, 1, 2))]
+        + [(random_chain(d, n, seed=10 * d + n), 12, (1, 2)) for d in range(2, 6) for n in range(2, 6)],
+    )
+    def test_matches_per_sample_loop(self, chain, samples, seeds):
+        """The batched pass against the per-sample loop it replaced: same bounds in the same
+        order, every worst slack within 1e-12 (150 samples span three blocks)."""
+        for seed in seeds:
+            got = eur.spot_check_inequalities(chain, samples=samples, seed=seed)
+            want = loop_spot_check_inequalities(chain, samples=samples, seed=seed)
+            assert list(got) == list(want)
+            for name, gap in want.items():
+                assert abs(got[name] - gap) <= 1e-12, name
+
+    def test_eigendecompositions_do_not_grow_with_samples(self, monkeypatch):
+        """Inside one block the spectra are taken once per stack, whatever the sample count.
+        The eigvalsh inside each mixed draw's own validation is not counted."""
+        counts = {"calls": 0, "paused": False}
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                counts["calls"] += not counts["paused"]
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        draw = verifier.random_density_matrix
+
+        def uncounted_draw(*args, **kwargs):
+            counts["paused"] = True
+            try:
+                return draw(*args, **kwargs)
+            finally:
+                counts["paused"] = False
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+        monkeypatch.setattr(verifier, "random_density_matrix", uncounted_draw)
+        chain = mub_chain(3, 4)
+        per_call = []
+        for samples in (5, 50):
+            assert samples <= SPOT_BLOCK
+            counts["calls"] = 0
+            eur.spot_check_inequalities(chain, samples=samples, seed=3)
+            per_call.append(counts["calls"])
+        assert per_call[0] == per_call[1] > 0
 
 
 class TestMinimizationConfig:
