@@ -9,15 +9,13 @@ Two bound families run along the chain of overlap tables:
   for mixed states).
 
 Both read the chain's tables from its bank ``chain.overlaps`` and depend on
-the order in which the bases are chained; the ``*_best_order`` variants search
-the inequivalent orderings as index orders into that bank.  The MU search runs
-depth-first, contracting each shared prefix once, and skips a first pair when
-a floor on every completion shows it cannot win; the Deutsch search evaluates
-each cyclic order in turn.  The remaining
-functions cover the two-measurement specializations, a max-of-pairwise-sums
-construction (SCB), a weighted three-measurement bound, the fully
-state-dependent relative-entropy form, and the quantum-memory versions
-conditioned on side information.
+the order in which the bases are chained.  Each is written once as a start, a
+step and a closing step, which the fixed-order bound folds along the input
+order and the ``*_best_order`` variants run through one depth-first search
+over index orders, sharing prefixes.  The remaining functions cover the
+two-measurement specializations, a max-of-pairwise-sums construction (SCB), a
+weighted three-measurement bound, the fully state-dependent relative-entropy
+form, and the quantum-memory versions conditioned on side information.
 """
 
 from __future__ import annotations
@@ -85,36 +83,71 @@ def _memory_entropy(dim: int, rho: BipartiteState, what: str) -> float:
     return conditional_entropy(rho)
 
 
-def _deutsch_h(bank: np.ndarray, order) -> float:
-    """Largest cyclic product of (1 + sqrt(c)) / 2 factors along ``order``, all start outcomes at once."""
-    n = len(order)
-    factors = [(1.0 + np.sqrt(bank[order[m], order[(m + 1) % n]])) / 2.0 for m in range(n)]
-    v = factors[0]
-    for m in range(1, n - 1):
-        v = (v[:, :, None] * factors[m]).max(axis=1)
-    return float((v * factors[n - 1].T).max())
+def _deutsch_steps(bank: np.ndarray):
+    """Deutsch contraction with F = (1 + sqrt(c)) / 2: v[s, k] is the largest product of F factors
+    from start outcome s to outcome k; the closing factor leads back to the first basis."""
+    f = (1.0 + np.sqrt(bank)) / 2.0
+
+    def step(v, i, j):
+        return (v[:, :, None] * f[i, j]).max(axis=1)
+
+    return f, step, lambda order, v: float((v * f[order[-1], order[0]].T).max())
 
 
-def _mu_b(bank: np.ndarray, order) -> float:
-    """Chained max/sum contraction of the consecutive overlap tables along ``order``.
+def _mu_steps(bank: np.ndarray):
+    """MU contraction: the first table collapsed to its column maxima, each intermediate index
+    summed against the next table, the final index maximised."""
+    return bank.max(axis=2), lambda v, i, j: v @ bank[i, j], lambda order, v: float(v.max())
 
-    The first table is collapsed to its column maxima, every intermediate
-    index is summed against the next table, and the final index is maximised.
+
+def _fold(steps, order) -> float:
+    """Closing value of the contraction ``steps`` along one index order.
+
+    ``steps`` is (start, step, close): start[i, j] is the vector of the first pair (i, j),
+    step(v, i, j) carries it from basis i on to basis j, close(order, v) gives the closing value.
     """
-    v = bank[order[0], order[1]].max(axis=0)
-    for m in range(1, len(order) - 1):
-        v = v @ bank[order[m], order[m + 1]]
-    return float(v.max())
+    start, step, close = steps
+    v = start[order[0], order[1]]
+    for m in range(2, len(order)):
+        v = step(v, order[m - 1], order[m])
+    return close(order, v)
+
+
+def _search(n: int, steps, roots) -> tuple[float, tuple[int, ...]]:
+    """Order with the largest -log2 of its closing value, depth-first over index orders.
+
+    ``roots`` yields first pairs (i, j) in visiting order with a floor on the closing value of
+    their completions; a root whose floor reaches the incumbent's could only tie and is skipped.
+    The rest follow in increasing index, each prefix taking the :func:`_fold` steps once; the first
+    largest leaf in ``permutations`` order wins, and a leaf that closes to None is no candidate.
+    """
+    start, step, close = steps
+    best_val, best_order, best_x = -math.inf, None, math.inf
+
+    def descend(order, v, rest):
+        nonlocal best_val, best_order, best_x
+        if not rest:
+            x = close(order, v)
+            if x is not None and (val := _neg_log2(x)) > best_val:
+                best_val, best_order, best_x = val, order, x
+            return
+        for k, j in enumerate(rest):
+            descend(order + (j,), step(v, order[-1], j), rest[:k] + rest[k + 1 :])
+
+    for (i, j), floor in roots:
+        if floor < best_x:
+            descend((i, j), start[i, j], tuple(k for k in range(n) if k != i and k != j))
+    return best_val, best_order
 
 
 def deutsch_multi_bound(chain: MeasurementChain) -> float:
     """Lower bound on the min-entropy sum of the chain, in bits."""
-    return _neg_log2(_deutsch_h(chain.overlaps, range(len(chain))))
+    return _neg_log2(_fold(_deutsch_steps(chain.overlaps), range(len(chain))))
 
 
 def mu_multi_bound(chain: MeasurementChain) -> float:
     """Lower bound on the Shannon entropy sum of the chain for pure states."""
-    return _neg_log2(_mu_b(chain.overlaps, range(len(chain))))
+    return _neg_log2(_fold(_mu_steps(chain.overlaps), range(len(chain))))
 
 
 def mu_multi_bound_with_state(chain: MeasurementChain, rho: DensityMatrix) -> float:
@@ -212,66 +245,32 @@ def memory_pure_bound(chain: MeasurementChain, rho: BipartiteState) -> float:
     return mu_multi_bound(chain) + s
 
 
-def _distinct_cyclic_orders(n: int) -> list[tuple[int, ...]]:
-    """Orderings inequivalent under rotation and reversal, first index pinned to 0."""
-    if n == 2:
-        return [(0, 1)]
-    orders = []
-    for rest in permutations(range(1, n)):
-        if rest[0] < rest[-1]:
-            orders.append((0,) + rest)
-    return orders
-
-
 def deutsch_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tuple[int, ...]]:
-    """Best Deutsch-type bound over the distinct cyclic orderings of the chain."""
-    bank = chain.overlaps
-    best_val, best_order = -math.inf, None
-    for order in _distinct_cyclic_orders(len(chain)):
-        val = _neg_log2(_deutsch_h(bank, order))
-        if val > best_val:
-            best_val, best_order = val, order
-    return best_val, best_order
+    """Best Deutsch-type bound over the distinct cyclic orderings of the chain.
+
+    The product is invariant under rotation and reversal, so basis 0 goes first and one order of
+    each reversed pair is kept (second index below the last).  Nothing is pruned.
+    """
+    n = len(chain)
+    start, step, close = _deutsch_steps(chain.overlaps)
+    steps = start, step, lambda order, v: close(order, v) if n == 2 or order[1] < order[-1] else None
+    return _search(n, steps, (((0, j), 0.0) for j in range(1, n)))
 
 
 def mu_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tuple[int, ...]]:
     """Best MU-type bound over all orderings of the chain.
 
-    Depth-first over index orders, visited in ``permutations`` order.  Each
-    prefix contracts its vector with the next table once for all of its
-    completions, with the floating-point operations of :func:`_mu_b`, so every
-    value and the first-largest tie-break equal the exhaustive loop's.
-
-    A contraction turns sum(v) into at least r sum(v), r the smallest row sum
-    in the bank, and b = max(v) >= sum(v) / d, so every completion of a first
-    pair has b >= sum(v1) r^(N-2) / d.  That floor, shrunk by a few ulps per
-    rounding step so it stays below every computed b, skips the pair once it
-    reaches the incumbent's b: none of its orders could do better than tie.
+    A contraction turns sum(v) into at least r sum(v), r the smallest row sum in the bank, and
+    b = max(v) >= sum(v) / d, so every completion of a first pair has b >= sum(v1) r^(N-2) / d.
+    That floor, shrunk by a few ulps per rounding step so it stays below every computed b, is the
+    pair's floor in the search.
     """
     bank = chain.overlaps
     n, d = bank.shape[0], bank.shape[2]
-    first = bank.max(axis=2)  # first[i, j]: column maxima of table (i, j), the v of _mu_b
+    steps = _mu_steps(bank)
     growth = float(bank.sum(axis=3).min()) ** (n - 2) / d * (1.0 - 4.0 * n * d * np.finfo(float).eps)
-    floors = (first.sum(axis=2) * growth).tolist()
-    best_val, best_order, best_b = -math.inf, None, math.inf
-
-    def descend(order, v, rest):
-        nonlocal best_val, best_order, best_b
-        if not rest:
-            b = float(v.max())
-            val = _neg_log2(b)
-            if val > best_val:
-                best_val, best_order, best_b = val, order, b
-            return
-        last = order[-1]
-        for k, j in enumerate(rest):
-            descend(order + (j,), v @ bank[last, j], rest[:k] + rest[k + 1 :])
-
-    indices = tuple(range(n))
-    for i, j in permutations(indices, 2):
-        if floors[i][j] < best_b:
-            descend((i, j), first[i, j], tuple(k for k in indices if k != i and k != j))
-    return best_val, best_order
+    floors = (steps[0].sum(axis=2) * growth).tolist()
+    return _search(n, steps, (((i, j), floors[i][j]) for i, j in permutations(range(n), 2)))
 
 
 def build_reports(

@@ -108,12 +108,14 @@ def cmd_verify(args) -> int:
         raise ValueError("--dim-b applies to --mode memory only")
     chain = read_chain(args.input)
     config = MinimizationConfig(restarts=args.restarts, seed=args.seed)
+    # The spot checks draw from their own stream, so running them first (a bad
+    # --samples fails before any minimization) changes no output.
+    spots = spot_check_inequalities(chain, samples=args.samples, seed=args.seed)
     if args.mode == "state":
         orders = math.inf if args.orders == "min" else 1.0
         result = minimize_entropy_sum(chain, orders, config)
     else:
         result = minimize_conditional_entropy_sum(chain, 2 if args.dim_b is None else args.dim_b, config)
-    spots = spot_check_inequalities(chain, samples=args.samples, seed=args.seed)
 
     print(f"objective_min = {result.objective_min:.12g}")
     print(f"converged restarts: {result.converged_restarts}/{config.restarts}")

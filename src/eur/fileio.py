@@ -24,8 +24,10 @@ def _encode_complex_matrix(m: np.ndarray) -> list:
 def _decode_complex_matrix(rows, dim: int, what: str) -> np.ndarray:
     try:
         m = np.array([[complex(z[0], z[1]) for z in row] for row in rows], dtype=complex)
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, KeyError, OverflowError) as exc:
         raise ValueError(f"{what}: entries must be [real, imag] pairs") from exc
+    except ValueError as exc:
+        raise ValueError(f"{what}: expected a {dim} x {dim} matrix, got rows of unequal length") from exc
     if m.shape != (dim, dim):
         raise ValueError(f"{what}: expected a {dim} x {dim} matrix, got shape {m.shape}")
     return m
@@ -36,18 +38,18 @@ def _load_json(path, key: str) -> tuple[dict, int]:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format_version {version!r} (expected {FORMAT_VERSION})")
     for k in ("dim", key):
         if k not in data:
             raise ValueError(f"{path}: missing key {k!r}")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError(f"{path}: dim must be a positive integer, got {dim!r}")
     return data, dim
 
@@ -76,6 +78,8 @@ def read_measurement_set(path) -> list[MeasurementBasis]:
         raise ValueError(f"{path}: 'bases' must be a non-empty list")
     bases = []
     for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: basis {k} must be a JSON object")
         if "vectors" not in entry:
             raise ValueError(f"{path}: basis {k} missing 'vectors'")
         vectors = _decode_complex_matrix(entry["vectors"], dim, f"{path}: basis {k}")

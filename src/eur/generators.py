@@ -99,14 +99,15 @@ def random_density_matrix(dim: int, rank: int, seed) -> DensityMatrix:
     """Random mixed state G G^dagger / tr, with G a dim x rank complex Gaussian.
 
     ``seed`` is anything ``np.random.default_rng`` accepts; a numpy Generator
-    is used as is, so the draw continues its stream.
+    is used as is, so the draw continues its stream.  The result is a density
+    matrix by construction, so it skips the constructor's validation.
     """
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be between 1 and dim = {dim}, got {rank}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return DensityMatrix(m / np.trace(m).real, validate=False)
 
 
 def maximally_entangled(dim: int) -> BipartiteState:

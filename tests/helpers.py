@@ -5,6 +5,7 @@ index tuples, independent of the contraction-based implementations they
 cross-check.
 """
 
+import json
 import math
 from itertools import permutations, product
 
@@ -13,7 +14,8 @@ import numpy as np
 import eur
 from eur.bounds import (
     BoundName,
-    _mu_b,
+    _fold,
+    _mu_steps,
     _neg_log2,
     berta_two_bound,
     deutsch_multi_bound,
@@ -62,6 +64,13 @@ def brute_force_deutsch_h(chain):
     return best
 
 
+def _distinct_cyclic_orders(n):
+    """Orderings inequivalent under rotation and reversal, first index pinned to 0."""
+    if n == 2:
+        return [(0, 1)]
+    return [(0,) + rest for rest in permutations(range(1, n)) if rest[0] < rest[-1]]
+
+
 def reordered_best_order(chain, bound, orders):
     """Order search by evaluating ``bound`` on one reordered chain per order.
 
@@ -80,10 +89,10 @@ def exhaustive_mu_best_order(chain):
 
     Orders come in ``permutations`` order and the first largest value wins.
     """
-    bank = chain.overlaps
+    steps = _mu_steps(chain.overlaps)
     best_val, best_order = -math.inf, None
     for order in permutations(range(len(chain))):
-        val = _neg_log2(_mu_b(bank, order))
+        val = _neg_log2(_fold(steps, order))
         if val > best_val:
             best_val, best_order = val, order
     return best_val, best_order
@@ -234,3 +243,43 @@ def loop_mixed_memory_gap(chain, dim_b, seed):
         gap = sum(measured_conditional_entropy(b, rho) for b in chain) - memory_multi_bound(chain, rho)
         worst = min(worst, gap)
     return worst
+
+
+_PAIR = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]  # the 2 x 2 identity as [real, imag] pairs
+_HALF = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]  # the maximally mixed qubit
+
+# Malformed input files: name -> (reader, file text).  ``reader`` is "set" for a
+# measurement-set file and "state" for a density-matrix file; each must be
+# rejected with a ValueError that names the file.
+MALFORMED_FILES = {
+    "bases-numbers": ("set", {"format_version": 1, "dim": 2, "bases": [1, 2]}),
+    "bases-strings": ("set", {"format_version": 1, "dim": 2, "bases": ["vectors", "x"]}),
+    "basis-entry-object": (
+        "set",
+        {"format_version": 1, "dim": 2, "bases": [{"vectors": [[{"re": 1}, [0, 0]], _PAIR[1]]}, {"vectors": _PAIR}]},
+    ),
+    "basis-ragged-rows": (
+        "set",
+        {"format_version": 1, "dim": 2, "bases": [{"vectors": [[[1, 0]], _PAIR[1]]}, {"vectors": _PAIR}]},
+    ),
+    "basis-entry-overflow": (
+        "set",
+        {"format_version": 1, "dim": 2, "bases": [{"vectors": [[[10**400, 0], [0, 0]], _PAIR[1]]}, {"vectors": _PAIR}]},
+    ),
+    "set-dim-true": ("set", {"format_version": 1, "dim": True, "bases": [{"vectors": [[[1, 0]]]}] * 2}),
+    "set-version-true": ("set", {"format_version": True, "dim": 2, "bases": [{"vectors": _PAIR}] * 2}),
+    "set-truncated": ("set", '{"format_version": 1, "dim": 2, "bases": [{"vectors": [[[1, 0], '),
+    "set-too-deep": ("set", "[" * 100000 + "]" * 100000),
+    "state-entry-object": ("state", {"format_version": 1, "dim": 2, "matrix": [[{"re": 1}, [0, 0]], _HALF[1]]}),
+    "state-dim-true": ("state", {"format_version": 1, "dim": True, "matrix": [[[1, 0]]]}),
+    "state-version-true": ("state", {"format_version": True, "dim": 2, "matrix": _HALF}),
+    "state-truncated": ("state", '{"format_version": 1, "dim": 2, "matrix": [[[0.5, 0], [0'),
+}
+
+
+def write_malformed(directory, name):
+    """Write the malformed file ``name`` into ``directory``; return its path."""
+    _, payload = MALFORMED_FILES[name]
+    path = directory / f"{name}.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    return str(path)

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import permutations
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import eur
-from eur.bounds import BoundName, _distinct_cyclic_orders
+from eur.bounds import BoundName
 from eur.core import DensityMatrix, MeasurementChain, PureState
 from helpers import (
+    _distinct_cyclic_orders,
     brute_force_chain_weights,
     brute_force_deutsch_h,
     brute_force_mu_b,
@@ -340,12 +342,27 @@ class TestOrderSearch:
         values = {eur.mu_multi_bound(chain.reordered(p)) for p in permutations(range(3))}
         assert len(values) == 1  # every ordering ties
         assert eur.mu_multi_bound_best_order(chain) == (values.pop(), (0, 1, 2))
+        chain = MeasurementChain(tuple(eur.mub_set(3)))
+        values = {eur.deutsch_multi_bound(chain.reordered(p)) for p in _distinct_cyclic_orders(4)}
+        assert len(values) == 1  # every cyclic order ties
+        assert eur.deutsch_multi_bound_best_order(chain) == (values.pop(), (0, 1, 2, 3))
 
     def test_mu_search_matches_exhaustive_orders(self):
         chains = [random_chain(dim, n, seed=1200 + 10 * dim + n) for dim in (3, 4) for n in range(2, 8)]
+        for chain in chains:
+            assert eur.deutsch_multi_bound_best_order(chain) == reordered_best_order(
+                chain, eur.deutsch_multi_bound, _distinct_cyclic_orders(len(chain))
+            )
         chains.append(MeasurementChain(tuple(eur.mub_set(5))))  # every table uniform
         for chain in chains:
             assert eur.mu_multi_bound_best_order(chain) == exhaustive_mu_best_order(chain)
+
+    def test_deutsch_search_nine_bases(self):
+        chain = random_chain(4, 9, seed=1250)
+        start = time.perf_counter()
+        val, order = eur.deutsch_multi_bound_best_order(chain)
+        assert time.perf_counter() - start < 10.0
+        assert val == eur.deutsch_multi_bound(chain.reordered(order))
 
     def test_mu_search_repeated_basis_keeps_input_order(self):
         # every table is the identity, so every order gives b = 1

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import eur
+from eur import cli
 from eur.cli import main
 from eur.fileio import read_measurement_set, write_density_matrix, write_measurement_set
+from helpers import MALFORMED_FILES, write_malformed
 
 
 @pytest.fixture
@@ -272,6 +274,17 @@ class TestVerify:
         assert main(argv + ["--orders", "shannon"]) == 0
         assert capsys.readouterr().out == default
 
+    def test_bad_samples_fail_before_minimization(self, mub_pair_file, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the minimizer ran")
+
+        monkeypatch.setattr(cli, "minimize_entropy_sum", never)
+        monkeypatch.setattr(cli, "minimize_conditional_entropy_sum", never)
+        for mode in ("state", "memory"):
+            rc = main(["verify", "--input", mub_pair_file, "--mode", mode, "--samples", "0"])
+            assert rc == 2
+            assert "samples must be >= 1" in capsys.readouterr().err
+
     def test_bad_restarts(self, mub_pair_file, capsys):
         rc = main(
             ["verify", "--input", mub_pair_file, "--mode", "state", "--restarts", "0"]
@@ -296,11 +309,26 @@ class TestParser:
             )
 
 
-def _python(code):
-    """Run ``code`` in a fresh interpreter that imports ``eur`` from this checkout."""
+def _python(code, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports ``eur`` from this checkout."""
     src = str(Path(eur.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_malformed_files_exit_2_without_traceback(tmp_path):
+    """Every malformed input ends the process with one error line and exit code 2."""
+    good = tmp_path / "good.json"
+    write_measurement_set(good, eur.mub_set(2, 2))
+    for name in sorted(MALFORMED_FILES):
+        path = write_malformed(tmp_path, name)
+        argv = ["--input", path] if MALFORMED_FILES[name][0] == "set" else ["--input", str(good), "--state", path]
+        proc = _python("import sys; from eur.cli import main; sys.exit(main(sys.argv[1:]))", "bounds", *argv)
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr, (name, proc.stderr)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), (name, proc.stderr)
 
 
 class TestStartup:

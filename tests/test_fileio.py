@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from eur.fileio import (
     write_measurement_set,
 )
 from eur.verifier import _pure_objective
+from helpers import MALFORMED_FILES, write_malformed
 
 # The complete files the writers produce for a labelled qubit set and a 2 x 2
 # density matrix: key order, indentation, float repr and the final newline.
@@ -223,6 +225,14 @@ class TestMeasurementSetErrors:
         )
         with pytest.raises(ValueError, match="orthogonal"):
             read_measurement_set(path)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_file_rejected_with_its_path(tmp_path, name):
+    path = write_malformed(tmp_path, name)
+    reader = read_measurement_set if MALFORMED_FILES[name][0] == "set" else read_density_matrix
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: "):
+        reader(path)
 
 
 class TestDensityMatrixFiles:

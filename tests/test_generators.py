@@ -142,6 +142,13 @@ class TestRandomDensityMatrix:
         with pytest.raises(ValueError, match="rank"):
             eur.random_density_matrix(3, 4, seed=0)
 
+    def test_every_draw_passes_validation(self):
+        """The draw skips validation, so check that each one would pass it."""
+        for dim in range(1, 10):
+            for rank in range(1, dim + 1):
+                for seed in range(10):
+                    eur.DensityMatrix(eur.random_density_matrix(dim, rank, seed=seed).matrix)
+
     def test_generator_seed_continues_its_stream(self):
         """With a Generator as seed the draws match the verifier's former private sampler."""
         ours, oracle = np.random.default_rng([7, 4]), np.random.default_rng([7, 4])

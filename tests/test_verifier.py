@@ -311,7 +311,8 @@ class TestSpotCheck:
 
     def test_eigendecompositions_do_not_grow_with_samples(self, monkeypatch):
         """Inside one block the spectra are taken once per stack, whatever the sample count.
-        The eigvalsh inside each mixed draw's own validation is not counted."""
+        The mixed draws skip validation and take no spectrum; they are kept out of the count
+        so that it covers the batched evaluation alone."""
         counts = {"calls": 0, "paused": False}
 
         def counting(fn):
