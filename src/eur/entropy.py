@@ -38,7 +38,7 @@ def _clean_probs(p) -> np.ndarray:
 
 
 def _entropy_rows(p: np.ndarray, alphas) -> np.ndarray:
-    """Renyi entropy of each row of the (R, d) array ``p``, row r of order ``alphas[r]``.
+    """Renyi entropy of each row of the (..., R, d) stack ``p``, row r of order ``alphas[r]``.
 
     With a single order, ``p`` may be any (..., d) stack of rows.  No
     validation: rows must be probability vectors and orders positive.
@@ -49,10 +49,10 @@ def _entropy_rows(p: np.ndarray, alphas) -> np.ndarray:
     if len(distinct) == 1:
         return _entropy_rows_of_order(p, distinct.pop())
     alphas = np.asarray(alphas, dtype=float)
-    out = np.empty(p.shape[0])
+    out = np.empty(p.shape[:-1])
     for alpha in distinct:
         rows = alphas == alpha
-        out[rows] = _entropy_rows_of_order(p[rows], alpha)
+        out[..., rows] = _entropy_rows_of_order(p[..., rows, :], alpha)
     return out
 
 

@@ -21,9 +21,16 @@ def _encode_complex_matrix(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _decode_entry(z) -> complex:
+    """One [real, imag] pair; a pair of another length or with a boolean part is a TypeError."""
+    if len(z) != 2 or isinstance(z[0], bool) or isinstance(z[1], bool):
+        raise TypeError(f"not a [real, imag] pair: {z!r}")
+    return complex(z[0], z[1])
+
+
 def _decode_complex_matrix(rows, dim: int, what: str) -> np.ndarray:
     try:
-        m = np.array([[complex(z[0], z[1]) for z in row] for row in rows], dtype=complex)
+        m = np.array([[_decode_entry(z) for z in row] for row in rows], dtype=complex)
     except (TypeError, IndexError, KeyError, OverflowError) as exc:
         raise ValueError(f"{what}: entries must be [real, imag] pairs") from exc
     except ValueError as exc:
@@ -83,7 +90,10 @@ def read_measurement_set(path) -> list[MeasurementBasis]:
         if "vectors" not in entry:
             raise ValueError(f"{path}: basis {k} missing 'vectors'")
         vectors = _decode_complex_matrix(entry["vectors"], dim, f"{path}: basis {k}")
-        bases.append(MeasurementBasis(vectors, label=str(entry.get("label", f"basis-{k}"))))
+        try:
+            bases.append(MeasurementBasis(vectors, label=str(entry.get("label", f"basis-{k}"))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: basis {k}: {exc}") from exc
     return bases
 
 
@@ -100,4 +110,8 @@ def write_density_matrix(path, rho: DensityMatrix) -> None:
 
 def read_density_matrix(path) -> DensityMatrix:
     data, dim = _load_json(path, "matrix")
-    return DensityMatrix(_decode_complex_matrix(data["matrix"], dim, f"{path}: matrix"))
+    matrix = _decode_complex_matrix(data["matrix"], dim, f"{path}: matrix")
+    try:
+        return DensityMatrix(matrix)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -6,19 +6,22 @@ Nelder-Mead from Haar-random starting points, and the gap between the best
 minimum found and each applicable bound is reported as a slack.  Slacks more
 negative than the certification tolerance mean a bound is violated.
 
-The objectives skip input validation: the Renyi orders are checked once, up
-front, and each evaluation is one product of the stacked bases with the state
-followed by one call of the row-entropy kernel ``entropy._entropy_rows``.  The
-memory-mode objective builds no state objects: for a pure joint state
-H(M|B) = H(M) - S(rho_B), with S(rho_B) from the Schmidt coefficients.
+All restarts run together in one batched Nelder-Mead, ``_nelder_mead``, which
+follows scipy's ``_minimize_neldermead`` step for step on a stack of simplices
+(scipy itself is not used).  Each iteration evaluates the restarts still
+running in at most three calls: the reflections, then the expansion or
+contraction points, then the vertices of the simplices that shrink.
+
+The objectives take a (k, 2d - 2) batch of angles and skip input validation:
+the Renyi orders are checked once, up front, and each call is one product of
+the states with the stacked bases followed by the row-entropy kernel
+``entropy._entropy_rows``.  The memory-mode objective builds no state objects:
+for a pure joint state H(M|B) = H(M) - S(rho_B), with S(rho_B) from the
+Schmidt coefficients.
 
 The spot checks draw a block of random states, then evaluate it at once: one
 product for the outcome distributions, one stacked eigendecomposition per kind
 of state and per reduced state, and the state-free bound terms once per call.
-
-The optimizer, ``scipy.optimize.minimize``, is imported on first use by the
-module ``__getattr__`` and then kept as the module attribute ``minimize``, so
-importing the package does not load scipy and the attribute can be replaced.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .generators import random_density_matrix
 
 CERTIFICATION_TOL = 1e-6
 GRADIENT_STEP = 1e-5
+_XATOL = 1e-8  # Nelder-Mead's simplex spread at convergence
 MIXED_SPOT_SAMPLES = 50
 SPOT_BLOCK = 64  # spot-check rounds evaluated together; caps the size of the batch arrays
 WEIGHTED_WEIGHTS = (1.0, 1.0, 2.0)  # H(u) + H(v) + 2 H(w), the WEIGHTED bound's entropy sum
@@ -78,16 +82,6 @@ class VerificationResult:
     converged_restarts: int
 
 
-def __getattr__(name: str):
-    """PEP 562 hook: import scipy's ``minimize`` on first access and keep it as a global."""
-    if name == "minimize":
-        from scipy.optimize import minimize
-
-        globals()["minimize"] = minimize
-        return minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _broadcast_orders(orders, n: int) -> list[float]:
     """One validated Renyi order per basis, checked here so the objectives need not."""
     if np.isscalar(orders):
@@ -103,14 +97,15 @@ def _broadcast_orders(orders, n: int) -> list[float]:
 
 
 def _state_from_angles(x: np.ndarray, dim: int) -> np.ndarray:
-    thetas, phis = x[: dim - 1], x[dim - 1 :]
+    """The state vector of each row of the (..., 2 dim - 2) array of angles ``x``."""
+    thetas, phis = x[..., : dim - 1], x[..., dim - 1 :]
     # amps[k] = sin(theta_0) ... sin(theta_{k-1}) cos(theta_k), the last one without the cosine
-    amps = np.ones(dim)
-    amps[1:] = np.cumprod(np.sin(thetas))
-    amps[:-1] *= np.cos(thetas)
+    amps = np.ones(x.shape[:-1] + (dim,))
+    amps[..., 1:] = np.cumprod(np.sin(thetas), axis=-1)
+    amps[..., :-1] *= np.cos(thetas)
     psi = amps.astype(complex)
-    psi[1:] *= np.exp(1j * phis)
-    return psi / np.linalg.norm(psi)
+    psi[..., 1:] *= np.exp(1j * phis)
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
 
 
 def _angles_from_state(psi: np.ndarray) -> np.ndarray:
@@ -135,29 +130,102 @@ def _haar_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def _multistart(objective, dim: int, config: MinimizationConfig, stream: int):
-    minimize = globals().get("minimize") or __getattr__("minimize")
-    rng = np.random.default_rng([config.seed, stream])
-    best = None
-    converged = 0
-    for _ in range(config.restarts):
-        x0 = _angles_from_state(_haar_vector(rng, dim))
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iterations,
-                "maxfev": config.max_iterations,
-                "fatol": config.tol,
-                "xatol": 1e-8,
-            },
+def _sorted_simplices(sim: np.ndarray, fsim: np.ndarray):
+    """Each simplex of the (R, n + 1, n) stack with its vertices in increasing value."""
+    rows, order = np.arange(len(fsim))[:, None], np.argsort(fsim, axis=-1)
+    return sim[rows, order], fsim[rows, order]
+
+
+def _nelder_mead(objective, x0: np.ndarray, max_iterations: int, fatol: float):
+    """Nelder-Mead from every row of the (R, n) array ``x0`` at once.
+
+    Step for step scipy's ``_minimize_neldermead`` with its default options
+    (coefficients 1, 2, 0.5, 0.5; each start coordinate x gives a vertex with
+    x * 1.05, or 0.00025 in place of a zero), ``_XATOL`` and ``fatol`` as the
+    stopping spreads and ``maxiter`` = ``maxfev`` = ``max_iterations`` per
+    restart.  As there, an iteration whose evaluation would pass ``maxfev``
+    stops at that evaluation, and each simplex is re-sorted with the default
+    ``argsort`` after every iteration.  ``objective`` maps a (k, n) array of
+    points to their k values; it is called once for the initial simplices and
+    then at most three times per iteration, for the restarts still running.
+
+    Returns the best vertex, its value, the evaluation count and whether the
+    simplex converged (scipy's ``success``), one entry per restart.
+    """
+    r, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.full((r, n + 1), np.inf)
+    m = min(n + 1, max_iterations)
+    fsim[:, :m] = objective(sim[:, :m].reshape(-1, n)).reshape(r, m)
+    nfev = np.full(r, m)
+    for _ in range(2):  # scipy sorts the initial simplex twice; an unstable sort may reorder ties
+        sim, fsim = _sorted_simplices(sim, fsim)
+    nit = np.ones(r, dtype=int)
+    success = np.zeros(r, dtype=bool)
+    run = np.flatnonzero((nfev < max_iterations) & (nit < max_iterations))
+    while run.size:
+        s, f = sim[run], fsim[run]
+        converged = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _XATOL) & (
+            np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= fatol
         )
-        if res.success:
-            converged += 1
-        if best is None or res.fun < best.fun:
-            best = res
-    return best, converged
+        success[run[converged]] = True
+        run, s, f = run[~converged], s[~converged], f[~converged]
+        if not run.size:
+            break
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        xr = 2 * xbar - worst
+        fxr = objective(xr)
+        left = max_iterations - nfev[run] - 1  # evaluations left after the reflection
+        expand = fxr < f[:, 0]
+        accept = ~expand & (fxr < f[:, -2])
+        outside = ~expand & ~accept & (fxr < f[:, -1])
+        # the expansion or contraction point; a restart without budget for it stops here
+        tried = ~accept & (left > 0)
+        trial = np.where(
+            expand[:, None],
+            3 * xbar - 2 * worst,
+            np.where(outside[:, None], 1.5 * xbar - 0.5 * worst, 0.5 * xbar + 0.5 * worst),
+        )
+        ftrial = np.full(run.size, np.nan)
+        if tried.any():
+            ftrial[tried] = objective(trial[tried])
+        left -= tried
+        better = np.where(expand, ftrial < fxr, np.where(outside, ftrial <= fxr, ftrial < f[:, -1]))
+        take = tried & better
+        shrink = tried & ~expand & ~take
+        done = accept | (tried & ~shrink)  # the iterations that end by replacing the worst vertex
+        s[done, -1] = np.where(take[:, None], trial, xr)[done]
+        f[done, -1] = np.where(take, ftrial, fxr)[done]
+        used = 1 + tried
+        if shrink.any():
+            # vertex j moves if j <= budget + 1 and is evaluated if j <= budget
+            ss, fs, budget = s[shrink], f[shrink], left[shrink, None]
+            j = np.arange(1, n + 1)
+            moved = ss[:, :1] + 0.5 * (ss[:, 1:] - ss[:, :1])
+            ss[:, 1:] = np.where((j <= budget + 1)[..., None], moved, ss[:, 1:])
+            evaluated = j <= budget
+            fs[:, 1:][evaluated] = objective(ss[:, 1:][evaluated])
+            s[shrink], f[shrink] = ss, fs
+            used[shrink] += evaluated.sum(axis=1)
+            done[shrink] = budget[:, 0] >= n
+        nfev[run] += used
+        nit[run] += done
+        sim[run], fsim[run] = _sorted_simplices(s, f)
+        run = run[(nfev[run] < max_iterations) & (nit[run] < max_iterations)]
+    return sim[:, 0], fsim.min(axis=1), nfev, success
+
+
+def _best_restart(objective, dim: int, config: MinimizationConfig, stream: int):
+    """Angles and value of the first lowest of ``config.restarts`` batched Nelder-Mead runs from
+    Haar-random states of random stream ``stream``, and the number of runs that converged."""
+    rng = np.random.default_rng([config.seed, stream])
+    x0 = np.array([_angles_from_state(_haar_vector(rng, dim)) for _ in range(config.restarts)])
+    x, fun, _, success = _nelder_mead(objective, x0, config.max_iterations, config.tol)
+    best = int(np.argmin(fun))
+    return x[best], float(fun[best]), int(success.sum())
 
 
 def entropy_sum(chain: MeasurementChain, rho: DensityMatrix, orders=1.0) -> float:
@@ -181,9 +249,8 @@ def _pure_objective(chain: MeasurementChain, ords: list[float], weights: list[fl
     n, dim = len(chain), chain.dim
 
     def objective(x):
-        probs = np.abs(bras @ _state_from_angles(x, dim)) ** 2
-        h = _entropy_rows(probs.reshape(n, dim), ords).tolist()
-        return sum(w * hm for w, hm in zip(weights, h))
+        probs = np.abs(_state_from_angles(x, dim) @ bras.T) ** 2
+        return (_entropy_rows(probs.reshape(-1, n, dim), ords) * weights).sum(axis=-1)
 
     return objective
 
@@ -198,14 +265,12 @@ def _memory_objective(chain: MeasurementChain, dim_b: int):
     bras = _stacked_bras(chain)
     n, da = len(chain), chain.dim
     total = da * dim_b
-    shannon = [1.0] * n
 
     def objective(x):
-        amps = _state_from_angles(x, total).reshape(da, dim_b)
-        probs = (np.abs(bras @ amps) ** 2).sum(axis=1).reshape(n, da)
+        amps = _state_from_angles(x, total).reshape(-1, da, dim_b)
+        probs = (np.abs(bras @ amps) ** 2).sum(axis=-1).reshape(-1, n, da)
         schmidt = np.linalg.svd(amps, compute_uv=False) ** 2
-        s_b = _entropy_rows(schmidt[None, :], (1.0,))[0]
-        return float(_entropy_rows(probs, shannon).sum() - n * s_b)
+        return _entropy_rows(probs, (1.0,)).sum(axis=-1) - n * _entropy_rows(schmidt, (1.0,))
 
     return objective
 
@@ -229,9 +294,8 @@ def minimize_entropy_sum(
     """
     ords = _broadcast_orders(orders, len(chain))
     objective = _pure_objective(chain, ords, [1.0] * len(chain))
-    best, converged = _multistart(objective, chain.dim, config, stream=0)
-    psi = PureState(_state_from_angles(best.x, chain.dim))
-    value = float(best.fun)
+    x, value, converged = _best_restart(objective, chain.dim, config, stream=0)
+    psi = PureState(_state_from_angles(x, chain.dim))
 
     slacks = {}
     if all(a == 1.0 for a in ords):
@@ -240,8 +304,8 @@ def minimize_entropy_sum(
         slacks[BoundName.STATE_DEPENDENT] = value - state_dependent_bound(chain, psi.projector())
         if len(chain) == 3:
             weighted = _pure_objective(chain, ords, WEIGHTED_WEIGHTS)
-            w_best, w_conv = _multistart(weighted, chain.dim, config, stream=1)
-            slacks[BoundName.WEIGHTED] = float(w_best.fun) - weighted_bound(chain[0], chain[1], chain[2])
+            _, w_value, w_conv = _best_restart(weighted, chain.dim, config, stream=1)
+            slacks[BoundName.WEIGHTED] = w_value - weighted_bound(chain[0], chain[1], chain[2])
             converged = min(converged, w_conv)
     else:
         slacks[BoundName.DEUTSCH_MULTI] = value - deutsch_multi_bound(chain)
@@ -265,9 +329,8 @@ def minimize_conditional_entropy_sum(
         raise ValueError(f"dim_b must be positive, got {dim_b}")
     da = chain.dim
     total = da * dim_b
-    best, converged = _multistart(_memory_objective(chain, dim_b), total, config, stream=2)
-    rho_best = BipartiteState.from_pure(_state_from_angles(best.x, total), da, dim_b)
-    value = float(best.fun)
+    x, value, converged = _best_restart(_memory_objective(chain, dim_b), total, config, stream=2)
+    rho_best = BipartiteState.from_pure(_state_from_angles(x, total), da, dim_b)
 
     slacks = {
         BoundName.MEMORY_MULTI: value - memory_multi_bound(chain, rho_best),
@@ -289,12 +352,9 @@ def minimizer_gradient_max(chain: MeasurementChain, psi: PureState, orders=1.0) 
     ords = _broadcast_orders(orders, len(chain))
     objective = _pure_objective(chain, ords, [1.0] * len(chain))
     x = _angles_from_state(psi.amplitudes)
-    worst = 0.0
-    for k in range(x.size):
-        e = np.zeros_like(x)
-        e[k] = GRADIENT_STEP
-        worst = max(worst, abs(objective(x + e) - objective(x - e)) / (2.0 * GRADIENT_STEP))
-    return worst
+    steps = GRADIENT_STEP * np.eye(x.size)
+    values = objective(np.concatenate([x + steps, x - steps]))
+    return float(np.abs(values[: x.size] - values[x.size :]).max() / (2.0 * GRADIENT_STEP))
 
 
 def spot_check_inequalities(chain: MeasurementChain, samples: int = 200, seed: int = 0) -> dict:

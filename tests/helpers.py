@@ -30,7 +30,8 @@ from eur.bounds import (
 from eur.core import BipartiteState, PureState, outcome_distribution
 from eur.entropy import LOG_CUTOFF, measured_conditional_entropy, renyi_entropy, shannon_entropy
 from eur.generators import random_density_matrix
-from eur.verifier import MIXED_SPOT_SAMPLES, WEIGHTED_WEIGHTS, _haar_vector
+from eur.verifier import MIXED_SPOT_SAMPLES, WEIGHTED_WEIGHTS, _XATOL, _angles_from_state, _haar_vector
+from scipy.optimize import minimize
 
 
 def brute_force_mu_b(chain):
@@ -135,6 +136,27 @@ def validated_memory_objective(chain, x, dim_b):
     psi = loop_state_from_angles(x, chain.dim * dim_b)
     rho = eur.BipartiteState.from_pure(psi, chain.dim, dim_b)
     return sum(measured_conditional_entropy(b, rho) for b in chain)
+
+
+def nelder_mead_options(max_iterations, tol):
+    """The scipy Nelder-Mead options the batched optimizer reproduces."""
+    return {"maxiter": max_iterations, "maxfev": max_iterations, "fatol": tol, "xatol": _XATOL}
+
+
+def scipy_restart_minimum(objective, dim, config, stream):
+    """Lowest value of scipy's Nelder-Mead over the verifier's restarts, one restart at a time.
+
+    Start points are drawn as the verifier draws them, from stream ``stream``;
+    ``objective`` takes a batch of angle rows and scipy hands it one row per call.
+    """
+    rng = np.random.default_rng([config.seed, stream])
+    options = nelder_mead_options(config.max_iterations, config.tol)
+    best = math.inf
+    for _ in range(config.restarts):
+        x0 = _angles_from_state(_haar_vector(rng, dim))
+        res = minimize(lambda x: objective(x[None])[0], x0, method="Nelder-Mead", options=options)
+        best = min(best, res.fun)
+    return best
 
 
 def brute_force_chain_weights(chain, rho):
@@ -250,7 +272,8 @@ _HALF = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]  # the maximally mixed qubit
 
 # Malformed input files: name -> (reader, file text).  ``reader`` is "set" for a
 # measurement-set file and "state" for a density-matrix file; each must be
-# rejected with a ValueError that names the file.
+# rejected with a ValueError that names the file, whether its layout or its
+# values are wrong (NaN is written as the JSON extension token ``NaN``).
 MALFORMED_FILES = {
     "bases-numbers": ("set", {"format_version": 1, "dim": 2, "bases": [1, 2]}),
     "bases-strings": ("set", {"format_version": 1, "dim": 2, "bases": ["vectors", "x"]}),
@@ -266,6 +289,18 @@ MALFORMED_FILES = {
         "set",
         {"format_version": 1, "dim": 2, "bases": [{"vectors": [[[10**400, 0], [0, 0]], _PAIR[1]]}, {"vectors": _PAIR}]},
     ),
+    "basis-entry-bool": (
+        "set",
+        {"format_version": 1, "dim": 2, "bases": [{"vectors": [[[True, 0], [0, 0]], _PAIR[1]]}, {"vectors": _PAIR}]},
+    ),
+    "basis-entry-triple": (
+        "set",
+        {"format_version": 1, "dim": 2, "bases": [{"vectors": [[[1, 0, 7], [0, 0]], _PAIR[1]]}, {"vectors": _PAIR}]},
+    ),
+    "basis-nan": (
+        "set",
+        {"format_version": 1, "dim": 2, "bases": [{"vectors": _PAIR}, {"vectors": [[[math.nan, 0], [0, 0]], _PAIR[1]]}]},
+    ),
     "set-dim-true": ("set", {"format_version": 1, "dim": True, "bases": [{"vectors": [[[1, 0]]]}] * 2}),
     "set-version-true": ("set", {"format_version": True, "dim": 2, "bases": [{"vectors": _PAIR}] * 2}),
     "set-truncated": ("set", '{"format_version": 1, "dim": 2, "bases": [{"vectors": [[[1, 0], '),
@@ -273,6 +308,7 @@ MALFORMED_FILES = {
     "state-entry-object": ("state", {"format_version": 1, "dim": 2, "matrix": [[{"re": 1}, [0, 0]], _HALF[1]]}),
     "state-dim-true": ("state", {"format_version": 1, "dim": True, "matrix": [[[1, 0]]]}),
     "state-version-true": ("state", {"format_version": True, "dim": 2, "matrix": _HALF}),
+    "state-nan": ("state", {"format_version": 1, "dim": 2, "matrix": [[[math.nan, 0], [0, 0]], _HALF[1]]}),
     "state-truncated": ("state", '{"format_version": 1, "dim": 2, "matrix": [[[0.5, 0], [0'),
 }
 

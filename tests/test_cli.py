@@ -331,8 +331,26 @@ def test_malformed_files_exit_2_without_traceback(tmp_path):
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), (name, proc.stderr)
 
 
+def test_verify_runs_leave_scipy_unloaded(tmp_path):
+    """A full ``verify`` in both modes minimizes without ever importing scipy."""
+    path = tmp_path / "pair.json"
+    write_measurement_set(path, eur.mub_set(2, 2))
+    code = (
+        "import sys\n"
+        "from eur.cli import main\n"
+        "common = ['--input', sys.argv[1], '--restarts', '2', '--samples', '4']\n"
+        "codes = [main(['verify', '--mode', 'state', *common]),\n"
+        "         main(['verify', '--mode', 'memory', '--dim-b', '2', *common])]\n"
+        "print('exit codes:', codes, 'scipy loaded:', 'scipy' in sys.modules)\n"
+    )
+    proc = _python(code, str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("CERTIFIED") == 2
+    assert proc.stdout.splitlines()[-1] == "exit codes: [0, 0] scipy loaded: False"
+
+
 class TestStartup:
-    """scipy is loaded by the first minimization, not by importing the package."""
+    """Importing the package and printing help load no scipy."""
 
     def test_import_leaves_scipy_unloaded(self):
         proc = _python("import sys, eur, eur.cli; print('scipy' in sys.modules)")

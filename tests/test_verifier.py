@@ -14,6 +14,7 @@ from eur.verifier import (
     _angles_from_state,
     _haar_vector,
     _memory_objective,
+    _nelder_mead,
     _pure_objective,
     _state_from_angles,
 )
@@ -22,12 +23,16 @@ from helpers import (
     loop_spot_check_inequalities,
     loop_state_from_angles,
     mub_chain,
+    nelder_mead_options,
     random_chain,
+    scipy_restart_minimum,
     validated_memory_objective,
     validated_pure_objective,
 )
+from scipy.optimize import minimize
 
 DEUTSCH_MUB2_PAIR = 0.45689339367277615
+OBJECTIVE_ATOL = 1e-13  # batched objectives against the validated loops; measured gaps stay below 1e-14
 
 FAST = eur.MinimizationConfig(restarts=16, seed=0)
 
@@ -58,11 +63,16 @@ class TestObjectiveKernels:
     """The validation-free objectives against the validated, basis-by-basis loops they replace."""
 
     def test_state_from_angles_matches_loop(self):
+        """Every row of a batch against the one-modulus-at-a-time loop.  The batch normalizes each
+        row with its own sum of squares, not the loop's BLAS dot, so the last bit may differ; a
+        row gives the same bits alone as inside any batch."""
         rng = np.random.default_rng(11)
         for dim in range(2, 8):
-            for _ in range(300):
-                x = rng.uniform(-4.0, 4.0, size=2 * dim - 2)
-                np.testing.assert_array_equal(_state_from_angles(x, dim), loop_state_from_angles(x, dim))
+            x = rng.uniform(-4.0, 4.0, size=(300, 2 * dim - 2))
+            rows = _state_from_angles(x, dim)
+            assert_allclose(rows, [loop_state_from_angles(r, dim) for r in x], rtol=0, atol=1e-15)
+            for r, row in zip(x, rows):
+                np.testing.assert_array_equal(_state_from_angles(r, dim), row)
 
     @staticmethod
     def _points(chain, rng, count=15):
@@ -70,7 +80,15 @@ class TestObjectiveKernels:
         outcome distributions in that basis hold entries below the log cutoff."""
         dim = chain.dim
         points = [rng.uniform(-4.0, 4.0, size=2 * dim - 2) for _ in range(count)]
-        return points + [_angles_from_state(v) for v in chain[0].vectors]
+        return np.array(points + [_angles_from_state(v) for v in chain[0].vectors])
+
+    @staticmethod
+    def _assert_matches(objective, points, oracle):
+        """One batched call against the validated loop, point by point.  The batch multiplies all
+        states with the stacked bases at once, so values agree to rounding, not bit for bit."""
+        values = objective(points)
+        assert values.shape == (len(points),)
+        assert_allclose(values, [oracle(x) for x in points], rtol=0, atol=OBJECTIVE_ATOL)
 
     @pytest.mark.parametrize(
         "orders",
@@ -92,28 +110,33 @@ class TestObjectiveKernels:
         for dim in range(2, 8):
             chain = random_chain(dim, n, seed=40 + dim)
             objective = _pure_objective(chain, orders, [1.0] * n)
-            for x in self._points(chain, rng):
-                assert objective(x) == validated_pure_objective(chain, x, orders, [1.0] * n)
+            self._assert_matches(
+                objective, self._points(chain, rng), lambda x: validated_pure_objective(chain, x, orders, [1.0] * n)
+            )
 
     def test_pure_objective_column_major_bases(self):
         """``random_basis`` builds its vectors as a column-major (transposed QR) array;
-        ``MeasurementBasis`` stores every basis row-major, so the stacked product equals the
-        per-basis products bit for bit, as for bases read from a file."""
+        ``MeasurementBasis`` stores every basis row-major, as it does bases read from a file."""
         rng = np.random.default_rng(15)
         for dim in (2, 3, 5, 8):
             chain = random_chain(dim, 3, seed=50 + dim)
             ones = [1.0] * 3
             objective = _pure_objective(chain, ones, ones)
-            for x in self._points(chain, rng):
-                assert objective(x) == validated_pure_objective(chain, x, ones, ones)
+            assert all(b.vectors.flags.c_contiguous for b in chain)
+            self._assert_matches(
+                objective, self._points(chain, rng), lambda x: validated_pure_objective(chain, x, ones, ones)
+            )
 
     def test_weighted_objective_matches_renyi_sum(self):
         rng = np.random.default_rng(13)
         for dim in range(2, 8):
             chain = random_chain(dim, 3, seed=60 + dim)
             objective = _pure_objective(chain, [1.0] * 3, WEIGHTED_WEIGHTS)
-            for x in self._points(chain, rng):
-                assert objective(x) == validated_pure_objective(chain, x, [1.0] * 3, WEIGHTED_WEIGHTS)
+            self._assert_matches(
+                objective,
+                self._points(chain, rng),
+                lambda x: validated_pure_objective(chain, x, [1.0] * 3, WEIGHTED_WEIGHTS),
+            )
 
     @pytest.mark.parametrize("dim_a,dim_b", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
     def test_memory_objective_matches_channel_sum(self, dim_a, dim_b):
@@ -126,9 +149,11 @@ class TestObjectiveKernels:
         k = min(dim_a, dim_b)
         entangled[[i * dim_b + i for i in range(k)]] = 1.0 / math.sqrt(k)
         points = [rng.uniform(-4.0, 4.0, size=2 * total - 2) for _ in range(20)]
-        points += [_angles_from_state(product), _angles_from_state(entangled)]
-        for x in points:
-            assert abs(objective(x) - validated_memory_objective(chain, x, dim_b)) <= 1e-12
+        points = np.array(points + [_angles_from_state(product), _angles_from_state(entangled)])
+        values = objective(points)
+        assert values.shape == (len(points),)
+        for x, value in zip(points, values):
+            assert abs(value - validated_memory_objective(chain, x, dim_b)) <= 1e-12
 
 
 class TestEntropySum:
@@ -217,46 +242,119 @@ class TestMinimizeConditionalEntropySum:
             eur.minimize_conditional_entropy_sum(mub_chain(2, 2), dim_b=0)
 
 
+def rosenbrock(x):
+    """The Rosenbrock function of the last axis from elementwise products and sums only, so a
+    row gives the same bits alone as inside a batch."""
+    total = 0.0 * x[..., 0]
+    for i in range(x.shape[-1] - 1):
+        a, b = x[..., i + 1] - x[..., i] * x[..., i], 1.0 - x[..., i]
+        total = total + 100.0 * a * a + b * b
+    return total
+
+
+class TestNelderMead:
+    """The batched Nelder-Mead against scipy's, one restart at a time."""
+
+    @staticmethod
+    def _starts(n, seed):
+        x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(8, n))
+        x0[0, 0] = 0.0  # a zero coordinate gets the 0.00025 vertex
+        x0[1] = 1.0  # the minimum itself
+        return x0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+    @pytest.mark.parametrize("max_iterations", [1, 2, 4, 7, 13, 60, 400, 2000])
+    def test_matches_scipy_bit_for_bit(self, n, max_iterations):
+        """Every restart's x, fun, nfev and success equal scipy's, also for the restarts that
+        run out of evaluations inside an iteration."""
+        x0 = self._starts(n, seed=10 * n + max_iterations)
+        x, fun, nfev, success = _nelder_mead(rosenbrock, x0, max_iterations, 1e-10)
+        options = nelder_mead_options(max_iterations, 1e-10)
+        for r in range(len(x0)):
+            res = minimize(rosenbrock, x0[r], method="Nelder-Mead", options=options)
+            np.testing.assert_array_equal(x[r], res.x)
+            assert (fun[r], nfev[r], success[r]) == (res.fun, res.nfev, res.success)
+
+    def test_running_restarts_evaluated_together(self):
+        """One call for the initial simplices, then at most three per iteration; every point
+        is evaluated once, so the rows add up to the evaluation counts."""
+        rows = []
+
+        def counting(points):
+            rows.append(len(points))
+            return rosenbrock(points)
+
+        x0 = self._starts(4, seed=3)
+        _, _, nfev, success = _nelder_mead(counting, x0, 2000, 1e-10)
+        assert success.all()
+        assert rows[0] == len(x0) * 5
+        assert sum(rows) == nfev.sum()
+        assert len(rows) <= 1 + 3 * nfev.max() < nfev.sum()
+
+
+@pytest.mark.parametrize("dim,n", [(d, n) for d in range(2, 6) for n in range(2, 6)])
+def test_state_minimum_never_above_scipy(dim, n):
+    """Seeded corpus: the batched search's minimum against scipy's from the same start points,
+    for Shannon, min-entropy and two Renyi orders, plus the WEIGHTED objective at N = 3."""
+    chain = random_chain(dim, n, seed=200 + 10 * dim + n)
+    config = eur.MinimizationConfig(restarts=2, seed=dim * n)
+    for order in (1.0, math.inf, 2.0, 0.5):
+        result = eur.minimize_entropy_sum(chain, orders=order, config=config)
+        objective = _pure_objective(chain, [order] * n, [1.0] * n)
+        assert result.objective_min <= scipy_restart_minimum(objective, dim, config, stream=0) + 1e-9, order
+        if n == 3 and order == 1.0:
+            weighted = result.slack_per_bound[BoundName.WEIGHTED] + eur.weighted_bound(*chain)
+            objective = _pure_objective(chain, [1.0] * 3, WEIGHTED_WEIGHTS)
+            assert weighted <= scipy_restart_minimum(objective, dim, config, stream=1) + 1e-9
+
+
+@pytest.mark.parametrize("dim_a,dim_b", [(a, b) for a in (2, 3) for b in (1, 2, 3)])
+def test_memory_minimum_never_above_scipy(dim_a, dim_b):
+    chain = random_chain(dim_a, 3, seed=300 + dim_a)
+    config = eur.MinimizationConfig(restarts=2, seed=dim_b)
+    result = eur.minimize_conditional_entropy_sum(chain, dim_b, config)
+    objective = _memory_objective(chain, dim_b)
+    assert result.objective_min <= scipy_restart_minimum(objective, dim_a * dim_b, config, stream=2) + 1e-9
+
+
 class TestOptimizerHook:
-    """``eur.verifier.minimize`` is the one optimizer entry point; replacing it reaches every restart."""
+    """``_nelder_mead`` is the one optimizer entry point: one batched run per multistart."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        optimizer = eur.verifier.minimize
-        count = [0]
+    def runs(self, monkeypatch):
+        optimizer = verifier._nelder_mead
+        shapes = []
 
-        def counting(*args, **kwargs):
-            count[0] += 1
-            return optimizer(*args, **kwargs)
+        def counting(objective, x0, *args, **kwargs):
+            shapes.append(x0.shape)
+            return optimizer(objective, x0, *args, **kwargs)
 
-        monkeypatch.setattr(eur.verifier, "minimize", counting)
-        return count
+        monkeypatch.setattr(verifier, "_nelder_mead", counting)
+        return shapes
 
-    def test_hook_is_scipy_minimize(self):
-        from scipy.optimize import minimize
+    def test_no_scipy_hook(self):
+        assert not hasattr(verifier, "minimize")
 
-        assert getattr(eur.verifier, "minimize") is minimize
-
-    def test_entropy_sum_calls_once_per_restart(self, calls):
+    def test_entropy_sum_one_run_per_multistart(self, runs):
         cfg = eur.MinimizationConfig(restarts=3)
         eur.minimize_entropy_sum(mub_chain(2, 2), config=cfg)
-        assert calls[0] == 3
+        assert runs == [(3, 2)]
         # N = 3 adds the WEIGHTED objective's own multistart
         eur.minimize_entropy_sum(mub_chain(2, 3), config=cfg)
-        assert calls[0] == 3 + 6
+        assert runs == [(3, 2)] * 3
 
-    def test_conditional_entropy_sum_calls_once_per_restart(self, calls):
+    def test_conditional_entropy_sum_one_run_per_multistart(self, runs):
         eur.minimize_conditional_entropy_sum(mub_chain(2, 2), dim_b=2, config=eur.MinimizationConfig(restarts=3))
-        assert calls[0] == 3
+        assert runs == [(3, 6)]
 
     @pytest.mark.parametrize("order", [0, -1, math.nan])
-    def test_bad_order_rejected_before_any_restart(self, calls, order):
+    def test_bad_order_rejected_before_any_restart(self, runs, order):
         chain = mub_chain(2, 2)
         with pytest.raises(ValueError, match="Renyi order must be positive"):
             eur.minimize_entropy_sum(chain, orders=order)
         with pytest.raises(ValueError, match="Renyi order must be positive"):
             eur.minimize_entropy_sum(chain, orders=[1.0, order])
-        assert calls[0] == 0
+        assert runs == []
         with pytest.raises(ValueError, match="Renyi order must be positive"):
             eur.entropy_sum(chain, eur.DensityMatrix(np.eye(2) / 2), orders=order)
 
