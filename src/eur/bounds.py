@@ -12,7 +12,8 @@ Both read the chain's tables from its bank ``chain.overlaps`` and depend on
 the order in which the bases are chained.  Each is written once as a start, a
 step and a closing step, which the fixed-order bound folds along the input
 order and the ``*_best_order`` variants run through one depth-first search
-over index orders, sharing prefixes.  The remaining functions cover the
+over index orders, sharing prefixes; ``eur scan`` runs the same steps on a
+stack of banks.  The remaining functions cover the
 two-measurement specializations, a max-of-pairwise-sums construction (SCB), a
 weighted three-measurement bound, the fully state-dependent relative-entropy
 form, and the quantum-memory versions conditioned on side information.
@@ -62,9 +63,9 @@ class BoundReport:
     chain_order: tuple[int, ...]
 
 
-def _neg_log2(x: float) -> float:
+def _neg_log2(x):
     # + 0.0 turns -log2(1) = -0.0 into a plain 0.0
-    return float(-np.log2(x)) + 0.0
+    return -np.log2(x) + 0.0
 
 
 def _state_entropy(dim: int, rho: DensityMatrix | None, what: str) -> float:
@@ -84,27 +85,31 @@ def _memory_entropy(dim: int, rho: BipartiteState, what: str) -> float:
 
 
 def _deutsch_steps(bank: np.ndarray):
-    """Deutsch contraction with F = (1 + sqrt(c)) / 2: v[s, k] is the largest product of F factors
+    """Deutsch contraction with F = (1 + sqrt(c)) / 2: v[..., s, k] is the largest product of F factors
     from start outcome s to outcome k; the closing factor leads back to the first basis."""
-    f = (1.0 + np.sqrt(bank)) / 2.0
+    f = (1.0 + np.sqrt(np.moveaxis(bank, (-4, -3), (0, 1)))) / 2.0
+    g = f[..., None, :, :]  # g[i, j] broadcasts against v[..., s, k, None]
 
     def step(v, i, j):
-        return (v[:, :, None] * f[i, j]).max(axis=1)
+        return (v[..., :, :, None] * g[i, j]).max(axis=-2)
 
-    return f, step, lambda order, v: float((v * f[order[-1], order[0]].T).max())
+    return f, step, lambda order, v: (v * np.swapaxes(f[order[-1], order[0]], -1, -2)).max(axis=(-2, -1))
 
 
 def _mu_steps(bank: np.ndarray):
-    """MU contraction: the first table collapsed to its column maxima, each intermediate index
-    summed against the next table, the final index maximised."""
-    return bank.max(axis=2), lambda v, i, j: v @ bank[i, j], lambda order, v: float(v.max())
+    """MU contraction: the first table collapsed to its column maxima, a (..., 1, d) row, each
+    intermediate index summed against the next table, the final index maximised."""
+    b = np.moveaxis(bank, (-4, -3), (0, 1))
+    return b.max(axis=-2, keepdims=True), lambda v, i, j: v @ b[i, j], lambda order, v: v.max(axis=(-2, -1))
 
 
-def _fold(steps, order) -> float:
-    """Closing value of the contraction ``steps`` along one index order.
+def _fold(steps, order):
+    """Closing value of the contraction ``steps`` along one index order, per chain of the bank.
 
     ``steps`` is (start, step, close): start[i, j] is the vector of the first pair (i, j),
     step(v, i, j) carries it from basis i on to basis j, close(order, v) gives the closing value.
+    Both contractions act elementwise over the leading axes of a (..., N, N, d, d) bank, which
+    they move behind the pair axes, so [i, j] picks a stack of tables.
     """
     start, step, close = steps
     v = start[order[0], order[1]]
@@ -128,7 +133,7 @@ def _search(n: int, steps, roots) -> tuple[float, tuple[int, ...]]:
         nonlocal best_val, best_order, best_x
         if not rest:
             x = close(order, v)
-            if x is not None and (val := _neg_log2(x)) > best_val:
+            if x is not None and (val := float(_neg_log2(x))) > best_val:
                 best_val, best_order, best_x = val, order, x
             return
         for k, j in enumerate(rest):
@@ -140,14 +145,26 @@ def _search(n: int, steps, roots) -> tuple[float, tuple[int, ...]]:
     return best_val, best_order
 
 
+def _deutsch_multi(bank: np.ndarray):
+    """:func:`deutsch_multi_bound` of every chain of a (..., N, N, d, d) bank."""
+    return _neg_log2(_fold(_deutsch_steps(bank), range(bank.shape[-3])))
+
+
+def _mu_multi_best(bank: np.ndarray):
+    """The value of :func:`mu_multi_bound_best_order` for every chain of a (..., N, N, d, d) bank,
+    as the largest over all N! index orders (the search's prune never skips a better one)."""
+    steps = _mu_steps(bank)
+    return np.max([_neg_log2(_fold(steps, order)) for order in permutations(range(bank.shape[-3]))], axis=0)
+
+
 def deutsch_multi_bound(chain: MeasurementChain) -> float:
     """Lower bound on the min-entropy sum of the chain, in bits."""
-    return _neg_log2(_fold(_deutsch_steps(chain.overlaps), range(len(chain))))
+    return float(_deutsch_multi(chain.overlaps))
 
 
 def mu_multi_bound(chain: MeasurementChain) -> float:
     """Lower bound on the Shannon entropy sum of the chain for pure states."""
-    return _neg_log2(_fold(_mu_steps(chain.overlaps), range(len(chain))))
+    return float(_neg_log2(_fold(_mu_steps(chain.overlaps), range(len(chain)))))
 
 
 def mu_multi_bound_with_state(chain: MeasurementChain, rho: DensityMatrix) -> float:
@@ -157,7 +174,7 @@ def mu_multi_bound_with_state(chain: MeasurementChain, rho: DensityMatrix) -> fl
 
 def mu_two_bound(a: MeasurementBasis, b: MeasurementBasis, rho: DensityMatrix | None = None) -> float:
     """Two-measurement bound -log2 c(a, b) + S(rho)."""
-    return _neg_log2(max_overlap(a, b)) + _state_entropy(a.dim, rho, "basis")
+    return float(_neg_log2(max_overlap(a, b))) + _state_entropy(a.dim, rho, "basis")
 
 
 def weighted_bound(
@@ -173,16 +190,17 @@ def weighted_bound(
     uw = overlap_table(u, w)
     wv = overlap_table(w, v)
     m = float((uw.max(axis=0) * wv.max(axis=1)).max())
-    return _neg_log2(m) + 2.0 * _state_entropy(u.dim, rho, "basis")
+    return float(_neg_log2(m)) + 2.0 * _state_entropy(u.dim, rho, "basis")
 
 
-def _scb_terms(chain: MeasurementChain) -> tuple[float, float]:
-    """State-free parts of the SCB candidates: the best pair term max_{i<j} -log2 c(M_i, M_j),
-    and half the cycle sum -1/2 sum_m log2 c(M_m, M_m+1) in input order (-inf for N = 2)."""
-    n, c = len(chain), chain.overlaps.max(axis=(2, 3))
-    pair = max(_neg_log2(c[i, j]) for i in range(n) for j in range(i + 1, n))
-    cycle = sum(-np.log2(c[m, (m + 1) % n]) for m in range(n))
-    return pair, 0.5 * float(cycle) + 0.0 if n >= 3 else -math.inf
+def _scb_max(bank: np.ndarray, s=0.0):
+    """:func:`scb_max_bound` of every chain of a (..., N, N, d, d) bank at state entropy ``s``, a
+    number or an array that broadcasts against the leading axes: the best pair term
+    max_{i<j} -log2 c(M_i, M_j) + s against the input-order cycle term (none for N = 2)."""
+    n, c = bank.shape[-3], bank.max(axis=(-2, -1))
+    pair = np.max([_neg_log2(c[..., i, j]) for i in range(n) for j in range(i + 1, n)], axis=0)
+    cycle = 0.5 * sum(-np.log2(c[..., m, (m + 1) % n]) for m in range(n)) + 0.0 if n >= 3 else -math.inf
+    return np.maximum(pair + s, cycle + 0.5 * n * s)
 
 
 def scb_max_bound(chain: MeasurementChain, rho: DensityMatrix | None = None) -> float:
@@ -191,9 +209,7 @@ def scb_max_bound(chain: MeasurementChain, rho: DensityMatrix | None = None) -> 
     Candidates: every pair bound -log2 c(M_i, M_j) + S(rho), and for N >= 3 the
     full cycle in input order, -1/2 sum_m log2 c(M_m, M_m+1) + (N/2) S(rho).
     """
-    s = _state_entropy(chain.dim, rho, "chain")
-    pair, cycle = _scb_terms(chain)
-    return max(pair + s, cycle + 0.5 * len(chain) * s)
+    return float(_scb_max(chain.overlaps, _state_entropy(chain.dim, rho, "chain")))
 
 
 def _push_weights(chain: MeasurementChain, w: np.ndarray) -> np.ndarray:
@@ -228,7 +244,7 @@ def state_dependent_bound(chain: MeasurementChain, rho: DensityMatrix) -> float:
 
 def berta_two_bound(a: MeasurementBasis, b: MeasurementBasis, rho: BipartiteState) -> float:
     """Memory-assisted two-measurement bound -log2 c(a, b) + S(A|B)."""
-    return _memory_entropy(a.dim, rho, "basis") + _neg_log2(max_overlap(a, b))
+    return _memory_entropy(a.dim, rho, "basis") + float(_neg_log2(max_overlap(a, b)))
 
 
 def memory_multi_bound(chain: MeasurementChain, rho: BipartiteState) -> float:
@@ -269,7 +285,7 @@ def mu_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tuple[int
     n, d = bank.shape[0], bank.shape[2]
     steps = _mu_steps(bank)
     growth = float(bank.sum(axis=3).min()) ** (n - 2) / d * (1.0 - 4.0 * n * d * np.finfo(float).eps)
-    floors = (steps[0].sum(axis=2) * growth).tolist()
+    floors = (steps[0].sum(axis=(2, 3)) * growth).tolist()
     return _search(n, steps, (((i, j), floors[i][j]) for i, j in permutations(range(n), 2)))
 
 

@@ -12,14 +12,10 @@ import sys
 
 import numpy as np
 
-from .bounds import (
-    build_reports,
-    deutsch_multi_bound,
-    mu_multi_bound_best_order,
-    scb_max_bound,
-)
+from .bounds import _deutsch_multi, _mu_multi_best, _scb_max, build_reports
+from .core import _overlap_bank
 from .fileio import read_chain, read_density_matrix, write_measurement_set
-from .generators import mub_set, parametric_d3_chain, random_basis
+from .generators import _paper_d3_vectors, mub_set, parametric_d3_chain, random_basis
 from .verifier import (
     CERTIFICATION_TOL,
     MinimizationConfig,
@@ -28,14 +24,15 @@ from .verifier import (
     spot_check_inequalities,
 )
 
-# CLI bound name -> (CSV column, bound of one chain).  The scan reports the
-# order-optimized contraction bound so the columns are comparable; the lambdas
-# resolve this module's names at call time, so patching them takes effect.
+# CLI bound name -> (CSV column, bound of every chain of a (..., N, N, d, d) overlap bank,
+# through the contraction steps of its single-chain bound).  The scan reports the
+# order-optimized contraction bound so the columns are comparable.
 SCAN_BOUNDS = {
-    "mu-multi": ("mu_multi", lambda chain: mu_multi_bound_best_order(chain)[0]),
-    "scb-max": ("scb_max", lambda chain: scb_max_bound(chain)),
-    "deutsch-multi": ("deutsch_multi", lambda chain: deutsch_multi_bound(chain)),
+    "mu-multi": ("mu_multi", _mu_multi_best),
+    "scb-max": ("scb_max", _scb_max),
+    "deutsch-multi": ("deutsch_multi", _deutsch_multi),
 }
+_SCAN_BLOCK = 256  # grid points evaluated per stacked bank, bounding the scan's temporaries
 
 
 def cmd_bounds(args) -> int:
@@ -67,6 +64,16 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _scan_rows(a: np.ndarray, phi: np.ndarray, requested: list[str]) -> list[tuple[float, ...]]:
+    """(a, phi, bound, ...) per grid point, the chains stacked ``_SCAN_BLOCK`` points at a time."""
+    rows = []
+    for start in range(0, a.size, _SCAN_BLOCK):
+        block = a[start : start + _SCAN_BLOCK], phi[start : start + _SCAN_BLOCK]
+        bank = _overlap_bank(_paper_d3_vectors(*block))
+        rows += zip(*(c.tolist() for c in [*block] + [SCAN_BOUNDS[name][1](bank) for name in requested]))
+    return rows
+
+
 def cmd_scan(args) -> int:
     requested = [name.strip() for name in args.bounds.split(",") if name.strip()]
     if not requested:
@@ -80,17 +87,13 @@ def cmd_scan(args) -> int:
     if args.param == "a":
         if args.phi is None:
             raise ValueError("scanning over a requires a fixed --phi")
-        grid = [(x, args.phi) for x in np.linspace(lo, hi, args.steps)]
+        grid = np.linspace(lo, hi, args.steps), np.full(args.steps, args.phi)
     else:
         if args.a is None:
             raise ValueError("scanning over phi requires a fixed --a")
-        grid = [(args.a, x) for x in np.linspace(lo, hi, args.steps)]
+        grid = np.full(args.steps, args.a), np.linspace(lo, hi, args.steps)
 
-    rows = []
-    for a, phi in grid:
-        chain = parametric_d3_chain(a, phi)
-        cells = [a, phi] + [SCAN_BOUNDS[name][1](chain) for name in requested]
-        rows.append(",".join(f"{cell:.12g}" for cell in cells))
+    rows = [",".join(f"{cell:.12g}" for cell in cells) for cells in _scan_rows(*grid, requested)]
 
     header = ",".join(["a", "phi"] + [SCAN_BOUNDS[name][0] for name in requested])
     with open(args.out, "w") as fh:

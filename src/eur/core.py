@@ -22,13 +22,30 @@ EIGENVALUE_FLOOR = -1e-10  # eigenvalues in [floor, 0) clamp to 0; below is an e
 PROB_CLAMP = 1e-12        # outcome probabilities in [-PROB_CLAMP, 0) clamp to 0
 
 
-def _as_complex_matrix(m, name: str) -> np.ndarray:
+def _as_square_matrix(m, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def _check_finite(m: np.ndarray, name: str) -> None:
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} contains non-finite entries")
+
+
+def _check_basis_rows(v: np.ndarray) -> None:
+    """Reject a (..., d, d) stack of row bases unless every entry is finite and every basis orthonormal."""
+    _check_finite(v, "basis")
+    gram = v.conj() @ np.swapaxes(v, -1, -2)
+    diag = np.diagonal(gram, axis1=-2, axis2=-1)
+    norm_err = np.abs(diag.real - 1.0).max()
+    if norm_err > NORM_TOL:
+        raise ValueError(f"basis row norms deviate from 1 by up to {norm_err:.3e}")
+    off = gram - diag[..., None] * np.eye(v.shape[-1])
+    ortho_err = np.abs(off).max()
+    if ortho_err > ORTHO_TOL:
+        raise ValueError(f"basis rows are not orthogonal: max |<u_i|u_j>| = {ortho_err:.3e}")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -71,7 +88,8 @@ class DensityMatrix:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
-        m = _as_complex_matrix(self.matrix, "density matrix")
+        m = _as_square_matrix(self.matrix, "density matrix")
+        _check_finite(m, "density matrix")
         if validate:
             herm_err = np.abs(m - m.conj().T).max()
             if herm_err > HERMITIAN_TOL:
@@ -110,16 +128,8 @@ class MeasurementBasis:
 
     def __post_init__(self):
         # row-major storage, so a basis and its file round trip give bit-identical products
-        v = np.ascontiguousarray(_as_complex_matrix(self.vectors, "basis"))
-        gram = v.conj() @ v.T
-        d = v.shape[0]
-        norm_err = np.abs(np.diag(gram).real - 1.0).max()
-        if norm_err > NORM_TOL:
-            raise ValueError(f"basis row norms deviate from 1 by up to {norm_err:.3e}")
-        off = gram - np.diag(np.diag(gram))
-        ortho_err = np.abs(off).max() if d > 1 else 0.0
-        if ortho_err > ORTHO_TOL:
-            raise ValueError(f"basis rows are not orthogonal: max |<u_i|u_j>| = {ortho_err:.3e}")
+        v = np.ascontiguousarray(_as_square_matrix(self.vectors, "basis"))
+        _check_basis_rows(v)
         object.__setattr__(self, "vectors", _freeze(v))
 
     @property
@@ -165,10 +175,10 @@ class MeasurementChain:
     def overlaps(self) -> np.ndarray:
         """Read-only (N, N, d, d) bank: ``overlaps[m, k]`` is ``overlap_table(self[m], self[k])``.
 
-        Computed once per chain, one ``overlap_table`` call per entry, so every
+        Computed once per chain by :func:`_overlap_bank`, one product per entry, so every
         table matches that function bit for bit (a mirror's transpose may not).
         """
-        return _freeze(np.array([[overlap_table(a, b) for b in self.bases] for a in self.bases]))
+        return _freeze(_overlap_bank(np.array([b.vectors for b in self.bases])))
 
     def reordered(self, order) -> "MeasurementChain":
         """Chain with bases permuted by the given index order."""
@@ -218,7 +228,17 @@ def overlap_table(a: MeasurementBasis, b: MeasurementBasis) -> np.ndarray:
     doubly stochastic: every row and column sums to one.
     """
     _check_same_dim(a.dim, b.dim, "overlap_table")
-    return np.abs(a.vectors.conj() @ b.vectors.T) ** 2
+    return _overlaps(a.vectors, b.vectors)
+
+
+def _overlaps(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|<u_i|w_j>|^2 for the rows of the (..., d, d) stacks ``u`` and ``w``, broadcast."""
+    return np.abs(u.conj() @ np.swapaxes(w, -1, -2)) ** 2
+
+
+def _overlap_bank(v: np.ndarray) -> np.ndarray:
+    """(..., N, N, d, d) bank of every chain in the (..., N, d, d) stack of row bases ``v``."""
+    return _overlaps(v[..., :, None, :, :], v[..., None, :, :, :])
 
 
 def max_overlap(a: MeasurementBasis, b: MeasurementBasis) -> float:

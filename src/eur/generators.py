@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BipartiteState, DensityMatrix, MeasurementBasis, MeasurementChain, PureState
+from .core import BipartiteState, DensityMatrix, MeasurementBasis, MeasurementChain, PureState, _check_basis_rows
 
 
 def _is_prime(n: int) -> bool:
@@ -50,6 +50,29 @@ def mub_set(dim: int, count: int | None = None) -> list[MeasurementBasis]:
     return bases
 
 
+def _paper_d3_vectors(a, phi) -> np.ndarray:
+    """Validated (..., 3, 3, 3) bases of :func:`parametric_d3_chain`, one chain per entry of the
+    broadcast ``a`` and ``phi``; the first bad entry in C order is reported, ``a`` before ``phi``."""
+    a, phi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(phi, dtype=float))
+    bad = ~((0.0 <= a) & (a <= 1.0) & np.isfinite(phi))
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        if not 0.0 <= a.flat[k] <= 1.0:
+            raise ValueError(f"parameter a must lie in [0, 1], got {a.flat[k]}")
+        raise ValueError(f"parameter phi must be finite, got {phi.flat[k]}")
+    s = 1.0 / np.sqrt(2.0)
+    e = np.exp(1j * phi)
+    ra, rb = np.sqrt(a), np.sqrt(1.0 - a)
+    v = np.zeros(a.shape + (3, 3, 3), dtype=complex)
+    v[..., 0, :, :] = np.eye(3)
+    v[..., 1, :, :] = [[s, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, s]]
+    v[..., 2, 0, 0], v[..., 2, 0, 1] = ra, e * rb
+    v[..., 2, 1, 0], v[..., 2, 1, 1] = rb, -e * ra
+    v[..., 2, 2, 2] = 1.0
+    _check_basis_rows(v)
+    return v
+
+
 def parametric_d3_chain(a: float, phi: float) -> MeasurementChain:
     """Three-basis family in dimension 3 tuned by weight ``a`` and phase ``phi``.
 
@@ -57,30 +80,8 @@ def parametric_d3_chain(a: float, phi: float) -> MeasurementChain:
     through a balanced rotation; the third entangles the first two levels
     with amplitude split a : (1 - a) and relative phase phi.
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"parameter a must lie in [0, 1], got {a}")
-    s = 1.0 / np.sqrt(2.0)
-    second = np.array(
-        [[s, 0.0, -s],
-         [0.0, 1.0, 0.0],
-         [s, 0.0, s]],
-        dtype=complex,
-    )
-    e = np.exp(1j * phi)
-    ra, rb = np.sqrt(a), np.sqrt(1.0 - a)
-    third = np.array(
-        [[ra, e * rb, 0.0],
-         [rb, -e * ra, 0.0],
-         [0.0, 0.0, 1.0]],
-        dtype=complex,
-    )
-    return MeasurementChain(
-        (
-            computational_basis(3, label="B1"),
-            MeasurementBasis(second, label="B2"),
-            MeasurementBasis(third, label="B3"),
-        )
-    )
+    v = _paper_d3_vectors(a, phi)
+    return MeasurementChain(tuple(MeasurementBasis(v[m], label=f"B{m + 1}") for m in range(3)))
 
 
 def random_basis(dim: int, seed: int) -> MeasurementBasis:

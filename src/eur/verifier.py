@@ -21,7 +21,8 @@ Schmidt coefficients.
 
 The spot checks draw a block of random states, then evaluate it at once: one
 product for the outcome distributions, one stacked eigendecomposition per kind
-of state and per reduced state, and the state-free bound terms once per call.
+of state and per reduced state, and the state-free bound terms once per call
+(SCB's once per block).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .bounds import (
     BoundName,
     _push_weights,
-    _scb_terms,
+    _scb_max,
     deutsch_multi_bound,
     memory_multi_bound,
     memory_pure_bound,
@@ -370,7 +371,6 @@ def spot_check_inequalities(chain: MeasurementChain, samples: int = 200, seed: i
     d, n = chain.dim, len(chain)
     bras = _stacked_bras(chain)
     deutsch, mu = deutsch_multi_bound(chain), mu_multi_bound(chain)
-    scb_pair, scb_cycle = _scb_terms(chain)
     pairs = [mu_two_bound(chain[m], chain[m + 1]) for m in range(n - 1)]  # -log2 c(M_m, M_m+1)
     weighted = weighted_bound(*chain) if n == 3 else None
     worst: dict = {}
@@ -392,7 +392,7 @@ def spot_check_inequalities(chain: MeasurementChain, samples: int = 200, seed: i
             BoundName.DEUTSCH_MULTI: sum(_entropy_rows(probs, (math.inf,)).T) - deutsch,
             BoundName.MU_MULTI: h - (mu + (n - 1) * s),
             BoundName.STATE_DEPENDENT: h - (n * s + _relative_entropies(rhos, sigmas)),
-            BoundName.SCB_MAX: h - np.maximum(scb_pair + s, scb_cycle + 0.5 * n * s),
+            BoundName.SCB_MAX: h - _scb_max(chain.overlaps, s),
             BoundName.MU_TWO: hs[:, 0] + hs[:, 1] - (pairs[0] + s),
         }
         if n == 3:

@@ -21,6 +21,7 @@ from eur.bounds import (
     deutsch_multi_bound,
     memory_multi_bound,
     memory_pure_bound,
+    mu_multi_bound_best_order,
     mu_multi_bound_with_state,
     mu_two_bound,
     scb_max_bound,
@@ -29,7 +30,7 @@ from eur.bounds import (
 )
 from eur.core import BipartiteState, PureState, outcome_distribution
 from eur.entropy import LOG_CUTOFF, measured_conditional_entropy, renyi_entropy, shannon_entropy
-from eur.generators import random_density_matrix
+from eur.generators import parametric_d3_chain, random_density_matrix
 from eur.verifier import MIXED_SPOT_SAMPLES, WEIGHTED_WEIGHTS, _XATOL, _angles_from_state, _haar_vector
 from scipy.optimize import minimize
 
@@ -97,6 +98,30 @@ def exhaustive_mu_best_order(chain):
         if val > best_val:
             best_val, best_order = val, order
     return best_val, best_order
+
+
+# ``eur scan`` bound name -> (CSV column, bound of one chain): the oracle of the batched scan
+SCAN_ORACLE = {
+    "mu-multi": ("mu_multi", lambda chain: mu_multi_bound_best_order(chain)[0]),
+    "scb-max": ("scb_max", scb_max_bound),
+    "deutsch-multi": ("deutsch_multi", deutsch_multi_bound),
+}
+
+
+def loop_scan_rows(a, phi, names):
+    """Scan rows (a, phi, bound, ...): one ``parametric_d3_chain`` per grid point, through the single-chain bounds."""
+    rows = []
+    for x, y in zip(a.tolist(), phi.tolist()):
+        chain = parametric_d3_chain(x, y)
+        rows.append((x, y) + tuple(SCAN_ORACLE[name][1](chain) for name in names))
+    return rows
+
+
+def scan_csv(names, rows):
+    """The CSV text ``eur scan`` writes for these bound names and rows."""
+    lines = [",".join(["a", "phi"] + [SCAN_ORACLE[name][0] for name in names])]
+    lines += [",".join(f"{cell:.12g}" for cell in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 def kept_entries_renyi_entropy(p, alpha):

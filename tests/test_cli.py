@@ -1,7 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import eur
 from eur import cli
 from eur.cli import main
 from eur.fileio import read_measurement_set, write_density_matrix, write_measurement_set
-from helpers import MALFORMED_FILES, write_malformed
+from helpers import MALFORMED_FILES, SCAN_ORACLE, loop_scan_rows, scan_csv, write_malformed
 
 
 @pytest.fixture
@@ -199,6 +202,92 @@ class TestScan:
         )
         assert rc == 2
         assert "START:STOP" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("phi", ["inf", "nan"])
+    def test_non_finite_phi_is_one_error_line(self, tmp_path, capsys, phi):
+        scan = [
+            "scan", "--family", "paper-d3", "--param", "a",
+            "--range", "0:1", "--steps", "3", "--phi", phi, "--out", str(tmp_path / "x.csv"),
+        ]
+        generate = ["generate", "--kind", "paper-d3", "--a", "0.5", "--phi", phi, "--out", str(tmp_path / "x.json")]
+        for argv in (scan, generate):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 2
+            assert capsys.readouterr().err.splitlines() == [f"error: parameter phi must be finite, got {phi}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_range_grid_reports_first_bad_point(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        for steps, first_bad in (("3", "1.5"), ("5", "1.25")):
+            argv = [
+                "scan", "--family", "paper-d3", "--param", "a",
+                "--range", "0.5:1.5", "--steps", steps, "--phi", "0", "--out", str(out),
+            ]
+            assert main(argv) == 2
+            assert capsys.readouterr().err.splitlines() == [f"error: parameter a must lie in [0, 1], got {first_bad}"]
+            assert not out.exists()
+
+    def test_single_step_is_the_range_start(self, tmp_path):
+        out = tmp_path / "x.csv"
+        argv = [
+            "scan", "--family", "paper-d3", "--param", "phi",
+            "--range", "0.25:3", "--steps", "1", "--a", "0.4", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        names = list(SCAN_ORACLE)
+        assert out.read_text() == scan_csv(names, loop_scan_rows(np.array([0.4]), np.array([0.25]), names))
+
+
+def _bits(rows):
+    return [tuple(float.hex(cell) for cell in row) for row in rows]
+
+
+class TestBatchedScan:
+    """Every cell of the batched scan equals the single-chain bound of its grid point, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "a, phi",
+        [
+            (np.linspace(0.0, 1.0, 21), np.full(21, math.pi / 2)),
+            (np.linspace(0.0, 1.0, 21), np.zeros(21)),
+            (np.full(17, 0.3), np.linspace(0.0, 2 * math.pi, 17)),
+            (np.repeat([0.0, 0.5, 1.0], 9), np.tile(np.arange(-4, 5) * (math.pi / 2), 3)),
+        ],
+        ids=["a-scan-half-pi", "a-scan-zero", "phi-scan", "phi-multiples-of-half-pi"],
+    )
+    def test_every_bound_subset_matches_the_loop(self, a, phi):
+        names = list(SCAN_ORACLE)
+        want = loop_scan_rows(a, phi, names)
+        subsets = [list(c) for k in (1, 2, 3) for c in combinations(names, k)] + [names[::-1]]
+        for subset in subsets:
+            cols = [0, 1] + [2 + names.index(name) for name in subset]
+            assert _bits(cli._scan_rows(a, phi, subset)) == _bits([[row[c] for c in cols] for row in want])
+
+    def test_grid_longer_than_a_block(self, monkeypatch):
+        steps = 2 * cli._SCAN_BLOCK + 3
+        a, phi = np.full(steps, 0.7), np.linspace(-1.0, 7.0, steps)
+        stacks, bank = [], cli._overlap_bank
+
+        def recording_bank(v):
+            stacks.append(v.shape[0])
+            return bank(v)
+
+        monkeypatch.setattr(cli, "_overlap_bank", recording_bank)
+        names = list(SCAN_ORACLE)
+        assert _bits(cli._scan_rows(a, phi, names)) == _bits(loop_scan_rows(a, phi, names))
+        assert stacks == [cli._SCAN_BLOCK, cli._SCAN_BLOCK, 3]
+
+    def test_readme_a_scan_csv_is_the_loop_csv(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        argv = [
+            "scan", "--family", "paper-d3", "--param", "a", "--range", "0:1", "--steps", "101",
+            "--phi", "1.5707963267948966", "--bounds", "mu-multi,scb-max", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        names = ["mu-multi", "scb-max"]
+        want = loop_scan_rows(np.linspace(0.0, 1.0, 101), np.full(101, 1.5707963267948966), names)
+        assert out.read_text() == scan_csv(names, want)
 
 
 class TestVerify:

@@ -105,11 +105,13 @@ class TestMeasurementChain:
             chain.reordered((0, 0, 1))
 
     def test_overlap_bank_matches_overlap_table(self):
-        chain = random_chain(3, 4, seed=6)
-        assert chain.overlaps.shape == (4, 4, 3, 3)
-        for m in range(4):
-            for k in range(4):
-                assert np.array_equal(chain.overlaps[m, k], eur.overlap_table(chain[m], chain[k]))
+        for d, n in [(3, 4), (2, 2), (4, 8), (5, 3), (6, 6)]:
+            chain = random_chain(d, n, seed=6 + d + n)
+            assert chain.overlaps.shape == (n, n, d, d)
+            assert not chain.overlaps.flags.writeable
+            for m in range(n):
+                for k in range(n):
+                    assert np.array_equal(chain.overlaps[m, k], eur.overlap_table(chain[m], chain[k]))
 
     def test_overlap_bank_read_only_and_cached(self):
         chain = random_chain(2, 3, seed=7)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import eur
+from eur.generators import _paper_d3_vectors
 from helpers import random_mixed
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -96,6 +97,24 @@ class TestParametricD3Chain:
     def test_rejects_out_of_range_weight(self, a):
         with pytest.raises(ValueError, match="a must lie"):
             eur.parametric_d3_chain(a, 0.0)
+
+    @pytest.mark.parametrize("phi", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_phase(self, phi):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            eur.parametric_d3_chain(0.5, phi)
+
+    def test_stack_reports_its_first_bad_entry(self):
+        with pytest.raises(ValueError, match="phi must be finite, got inf"):
+            _paper_d3_vectors([0.5, 2.0], [np.inf, 0.0])
+        with pytest.raises(ValueError, match=r"a must lie in \[0, 1\], got 2.0"):
+            _paper_d3_vectors([2.0, 0.5], [0.0, np.nan])
+
+    def test_chain_is_its_entry_of_the_stack(self):
+        a, phi = [0.0, 0.3, 1.0, 0.5], [0.0, 2.5, -7.0, np.pi / 2]
+        stack = _paper_d3_vectors(a, phi)
+        for k in range(4):
+            chain = eur.parametric_d3_chain(a[k], phi[k])
+            assert np.array_equal(np.array([b.vectors for b in chain]), stack[k])
 
 
 class TestRandomBasis:
