@@ -11,12 +11,14 @@ Two bound families run along the chain of overlap tables:
 Both read the chain's tables from its bank ``chain.overlaps`` and depend on
 the order in which the bases are chained.  Each is written once as a start, a
 step and a closing step, which the fixed-order bound folds along the input
-order and the ``*_best_order`` variants run through one depth-first search
-over index orders, sharing prefixes; ``eur scan`` runs the same steps on a
-stack of banks.  The remaining functions cover the
-two-measurement specializations, a max-of-pairwise-sums construction (SCB), a
-weighted three-measurement bound, the fully state-dependent relative-entropy
-form, and the quantum-memory versions conditioned on side information.
+order and the ``*_best_order`` variants run through one search over index
+orders, sharing prefixes: each first pair's orders grow level by level as one
+batch, so its frontier of at most (N - 2)! prefixes takes each step in one
+call; ``eur scan`` runs the same steps on a stack of banks.  The remaining
+functions cover the two-measurement specializations, a max-of-pairwise-sums
+construction (SCB), a weighted three-measurement bound, the fully
+state-dependent relative-entropy form, and the quantum-memory versions
+conditioned on side information.
 """
 
 from __future__ import annotations
@@ -88,60 +90,73 @@ def _deutsch_steps(bank: np.ndarray):
     """Deutsch contraction with F = (1 + sqrt(c)) / 2: v[..., s, k] is the largest product of F factors
     from start outcome s to outcome k; the closing factor leads back to the first basis."""
     f = (1.0 + np.sqrt(np.moveaxis(bank, (-4, -3), (0, 1)))) / 2.0
-    g = f[..., None, :, :]  # g[i, j] broadcasts against v[..., s, k, None]
 
     def step(v, i, j):
-        return (v[..., :, :, None] * g[i, j]).max(axis=-2)
+        # max over the middle index k of v[..., s, k] F[k, l], unrolled: exact, so the order is free
+        g = f[i, j]
+        out = v[..., :, :1] * g[..., :1, :]
+        for k in range(1, g.shape[-1]):
+            np.maximum(out, v[..., :, k : k + 1] * g[..., k : k + 1, :], out=out)
+        return out
 
-    return f, step, lambda order, v: (v * np.swapaxes(f[order[-1], order[0]], -1, -2)).max(axis=(-2, -1))
+    return f, step, lambda first, last, v: (v * np.swapaxes(f[last, first], -1, -2)).max(axis=(-2, -1))
 
 
 def _mu_steps(bank: np.ndarray):
     """MU contraction: the first table collapsed to its column maxima, a (..., 1, d) row, each
     intermediate index summed against the next table, the final index maximised."""
     b = np.moveaxis(bank, (-4, -3), (0, 1))
-    return b.max(axis=-2, keepdims=True), lambda v, i, j: v @ b[i, j], lambda order, v: v.max(axis=(-2, -1))
+    return b.max(axis=-2, keepdims=True), lambda v, i, j: v @ b[i, j], lambda first, last, v: v.max(axis=(-2, -1))
 
 
 def _fold(steps, order):
     """Closing value of the contraction ``steps`` along one index order, per chain of the bank.
 
     ``steps`` is (start, step, close): start[i, j] is the vector of the first pair (i, j),
-    step(v, i, j) carries it from basis i on to basis j, close(order, v) gives the closing value.
-    Both contractions act elementwise over the leading axes of a (..., N, N, d, d) bank, which
-    they move behind the pair axes, so [i, j] picks a stack of tables.
+    step(v, i, j) carries it from basis i on to basis j, close(first, last, v) gives the closing
+    value.  Both contractions act elementwise over the leading axes of a (..., N, N, d, d) bank,
+    which they move behind the pair axes, so [i, j] picks a stack of tables; the indices may also
+    be equal-length arrays, one pair per vector of a stack ``v`` (the order search's frontier).
     """
     start, step, close = steps
     v = start[order[0], order[1]]
     for m in range(2, len(order)):
         v = step(v, order[m - 1], order[m])
-    return close(order, v)
+    return close(order[0], order[-1], v)
 
 
-def _search(n: int, steps, roots) -> tuple[float, tuple[int, ...]]:
-    """Order with the largest -log2 of its closing value, depth-first over index orders.
+def _search(n: int, steps, roots, keep=None) -> tuple[float, tuple[int, ...]]:
+    """Order with the largest -log2 of its closing value, over index orders grouped by first pair.
 
     ``roots`` yields first pairs (i, j) in visiting order with a floor on the closing value of
     their completions; a root whose floor reaches the incumbent's could only tie and is skipped.
-    The rest follow in increasing index, each prefix taking the :func:`_fold` steps once; the first
-    largest leaf in ``permutations`` order wins, and a leaf that closes to None is no candidate.
+    The rest expand level by level as a batched frontier: the (P, m) array of prefixes gains one
+    index per level, each prefix's children in increasing index, through one :func:`_fold` step
+    on the stack of their vectors, so the leaves come in ``permutations`` order.  The first
+    largest leaf in that order wins; ``keep`` maps the (P, N) leaf orders to a mask of the
+    candidates.  The frontier holds one root's subtree at a time, (N - 2)! leaves.
     """
     start, step, close = steps
     best_val, best_order, best_x = -math.inf, None, math.inf
-
-    def descend(order, v, rest):
-        nonlocal best_val, best_order, best_x
-        if not rest:
-            x = close(order, v)
-            if x is not None and (val := float(_neg_log2(x))) > best_val:
-                best_val, best_order, best_x = val, order, x
-            return
-        for k, j in enumerate(rest):
-            descend(order + (j,), step(v, order[-1], j), rest[:k] + rest[k + 1 :])
-
     for (i, j), floor in roots:
-        if floor < best_x:
-            descend((i, j), start[i, j], tuple(k for k in range(n) if k != i and k != j))
+        if floor >= best_x:
+            continue
+        orders, v = np.array([[i, j]]), start[i, j][None]
+        free = np.ones((1, n), dtype=bool)
+        free[0, [i, j]] = False
+        for _ in range(n - 2):
+            p, k = np.nonzero(free)
+            v = step(v[p], orders[p, -1], k)
+            orders = np.column_stack((orders[p], k))
+            free = free[p]
+            free[np.arange(k.size), k] = False
+        x = close(orders[:, 0], orders[:, -1], v)
+        val = _neg_log2(x)
+        if keep is not None:
+            val[~keep(orders)] = -math.inf
+        best = int(np.argmax(val))
+        if val[best] > best_val:
+            best_val, best_order, best_x = float(val[best]), tuple(orders[best].tolist()), x[best]
     return best_val, best_order
 
 
@@ -268,9 +283,9 @@ def deutsch_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tupl
     each reversed pair is kept (second index below the last).  Nothing is pruned.
     """
     n = len(chain)
-    start, step, close = _deutsch_steps(chain.overlaps)
-    steps = start, step, lambda order, v: close(order, v) if n == 2 or order[1] < order[-1] else None
-    return _search(n, steps, (((0, j), 0.0) for j in range(1, n)))
+    roots = (((0, j), 0.0) for j in range(1, n))
+    # second index below the last; the two are the same index only for N = 2
+    return _search(n, _deutsch_steps(chain.overlaps), roots, lambda orders: orders[:, 1] <= orders[:, -1])
 
 
 def mu_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tuple[int, ...]]:

@@ -159,8 +159,10 @@ def _nelder_mead(objective, x0: np.ndarray, max_iterations: int, fatol: float):
     sim[:, k + 1, k] = np.where(x0 != 0, 1.05 * x0, 0.00025)
     fsim = np.full((r, n + 1), np.inf)
     m = min(n + 1, max_iterations)
-    fsim[:, :m] = objective(sim[:, :m].reshape(-1, n)).reshape(r, m)
+    fsim[:, :m] = objective(sim[:, :m].reshape(r * m, n)).reshape(r, m)
     nfev = np.full(r, m)
+    if n == 0:  # the one point of an empty search space: evaluated, and converged
+        return sim[:, 0], fsim[:, 0], nfev, np.ones(r, dtype=bool)
     for _ in range(2):  # scipy sorts the initial simplex twice; an unstable sort may reorder ties
         sim, fsim = _sorted_simplices(sim, fsim)
     nit = np.ones(r, dtype=int)

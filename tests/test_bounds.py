@@ -364,6 +364,39 @@ class TestOrderSearch:
         assert time.perf_counter() - start < 10.0
         assert val == eur.deutsch_multi_bound(chain.reordered(order))
 
+    def test_deutsch_search_ten_bases(self):
+        chain = random_chain(4, 10, seed=1251)
+        start = time.perf_counter()
+        val, order = eur.deutsch_multi_bound_best_order(chain)
+        assert time.perf_counter() - start < 10.0
+        assert val == eur.deutsch_multi_bound(chain.reordered(order))
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_searches_match_loops_across_dimensions(self, dim):
+        for n in range(2, 7):  # N = 2: a root per order and no level to expand
+            chains = [random_chain(dim, n, seed=1400 + 10 * dim + n)]
+            if dim == 1:  # every table is exactly [[1]], so every order ties and the first one wins
+                chains.append(MeasurementChain((eur.computational_basis(1),) * n))
+            for chain in chains:
+                deutsch = eur.deutsch_multi_bound_best_order(chain)
+                mu = eur.mu_multi_bound_best_order(chain)
+                assert deutsch == reordered_best_order(chain, eur.deutsch_multi_bound, _distinct_cyclic_orders(n))
+                assert mu == exhaustive_mu_best_order(chain)
+            if dim == 1:
+                assert deutsch == mu == (0.0, tuple(range(n)))
+
+    def test_deutsch_search_repeated_bases(self):
+        a, b, c = (eur.random_basis(3, seed) for seed in (1460, 1461, 1462))
+        for bases in [(a, b, a, c, b), (a, a, b, b), (a, b, c, a, b, c)]:
+            chain = MeasurementChain(bases)
+            assert eur.deutsch_multi_bound_best_order(chain) == reordered_best_order(
+                chain, eur.deutsch_multi_bound, _distinct_cyclic_orders(len(bases))
+            )
+        # every table is the identity, so every cyclic order gives a product of 1
+        val, order = eur.deutsch_multi_bound_best_order(MeasurementChain((eur.computational_basis(3),) * 4))
+        assert (val, order) == (0.0, (0, 1, 2, 3))
+        assert math.copysign(1.0, val) == 1.0
+
     def test_mu_search_repeated_basis_keeps_input_order(self):
         # every table is the identity, so every order gives b = 1
         chain = MeasurementChain((eur.computational_basis(3),) * 4)

@@ -305,6 +305,18 @@ class TestVerify:
         assert "slack MU_MULTI" in out
         assert "spot  MEMORY_MULTI" in out
 
+    def test_state_mode_one_dimensional_chain(self, tmp_path, capsys):
+        # d = 1 leaves 2d - 2 = 0 angles: each restart evaluates its one state
+        path = tmp_path / "d1.json"
+        write_measurement_set(path, [eur.computational_basis(1)] * 2)
+        rc = main(["verify", "--input", str(path), "--mode", "state", "--restarts", "4", "--samples", "5"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "objective_min = 0\n" in out
+        assert "converged restarts: 4/4" in out
+        assert "slack MU_MULTI" in out and "slack STATE_DEPENDENT" in out
+        assert out.splitlines()[-1] == "CERTIFIED"
+
     def test_min_orders_mode(self, mub_pair_file, capsys):
         rc = main(
             [

@@ -291,6 +291,21 @@ class TestNelderMead:
         assert sum(rows) == nfev.sum()
         assert len(rows) <= 1 + 3 * nfev.max() < nfev.sum()
 
+    def test_empty_search_space(self):
+        """With n = 0 each restart's one point is evaluated once and counts as converged."""
+        rows = []
+
+        def counting(points):
+            rows.append(points.shape)
+            return np.arange(len(points), dtype=float)
+
+        x, fun, nfev, success = _nelder_mead(counting, np.empty((3, 0)), 2000, 1e-10)
+        assert rows == [(3, 0)]
+        assert x.shape == (3, 0)
+        assert fun.tolist() == [0.0, 1.0, 2.0]
+        assert nfev.tolist() == [1, 1, 1]
+        assert success.all()
+
 
 @pytest.mark.parametrize("dim,n", [(d, n) for d in range(2, 6) for n in range(2, 6)])
 def test_state_minimum_never_above_scipy(dim, n):
