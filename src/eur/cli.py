@@ -104,11 +104,17 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+
+
 def cmd_verify(args) -> int:
     if args.mode == "memory" and args.orders is not None:
         raise ValueError("--orders applies to --mode state only")
     if args.mode == "state" and args.dim_b is not None:
         raise ValueError("--dim-b applies to --mode memory only")
+    _check_seed(args.seed)
     chain = read_chain(args.input)
     config = MinimizationConfig(restarts=args.restarts, seed=args.seed)
     # The spot checks draw from their own stream, so running them first (a bad
@@ -146,6 +152,7 @@ def cmd_generate(args) -> int:
     else:
         if args.dim is None:
             raise ValueError("--kind random requires --dim")
+        _check_seed(args.seed)
         count = args.count if args.count is not None else 3
         bases = [random_basis(args.dim, args.seed + k) for k in range(count)]
     write_measurement_set(args.out, bases)

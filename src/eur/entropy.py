@@ -114,14 +114,18 @@ def _memory_entropies(joints: np.ndarray, dim_a: int, dim_b: int, bras: np.ndarr
 
     S(A|B) = S(AB) - S(B) and H(M|B) = S(MB) - S(B).  Measuring A leaves a
     block-diagonal state with blocks <u_i|rho|u_i>, so S(MB) is the entropy of
-    the blocks' joint spectrum.
+    the blocks' joint spectrum.  With the joint's rows indexed (a, b) and its
+    columns (c, d), a and c on A, block i is sum_ac <u_i|a> rho[ab, cd] <c|u_i>:
+    one ``tensordot`` of the joints with the (N dA, dA, dA) stack of those
+    weights, whose only temporary is the joints with a and c moved last.
     """
     s_b = _entropy_rows(_spectra(_partial_trace_matrix(joints, dim_a, dim_b, "B")), (1.0,))
     s_a_given_b = _entropy_rows(_spectra(joints), (1.0,)) - s_b
     if bras is None:
         return s_a_given_b
     r = joints.reshape(joints.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
-    blocks = np.einsum("ia,...abcd,ic->...ibd", bras, r, bras.conj())
+    w = bras[:, :, None] * bras.conj()[:, None, :]  # w[i, a, c] = <u_i|a><c|u_i>
+    blocks = np.moveaxis(np.tensordot(r, w, axes=([-4, -2], [1, 2])), -1, -3)
     vals = _spectra(blocks).reshape(blocks.shape[:-3] + (-1, dim_a * dim_b))
     return s_a_given_b, _entropy_rows(vals, (1.0,)) - s_b[..., None]
 

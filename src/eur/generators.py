@@ -105,10 +105,18 @@ def random_density_matrix(dim: int, rank: int, seed) -> DensityMatrix:
     """
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be between 1 and dim = {dim}, got {rank}")
-    rng = np.random.default_rng(seed)
+    return DensityMatrix(_unit_trace(_gaussian_gram(dim, rank, np.random.default_rng(seed))), validate=False)
+
+
+def _gaussian_gram(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """G G^dagger for a dim x rank complex Gaussian G from ``rng``: a random mixed state times its trace."""
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, validate=False)
+    return g @ g.conj().T
+
+
+def _unit_trace(m: np.ndarray) -> np.ndarray:
+    """Each matrix of the (..., d, d) stack over its real trace; a stack gives each matrix's own bits."""
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def maximally_entangled(dim: int) -> BipartiteState:

@@ -6,23 +6,26 @@ Nelder-Mead from Haar-random starting points, and the gap between the best
 minimum found and each applicable bound is reported as a slack.  Slacks more
 negative than the certification tolerance mean a bound is violated.
 
-All restarts run together in one batched Nelder-Mead, ``_nelder_mead``, which
-follows scipy's ``_minimize_neldermead`` step for step on a stack of simplices
-(scipy itself is not used).  Each iteration evaluates the restarts still
-running in at most three calls: the reflections, then the expansion or
-contraction points, then the vertices of the simplices that shrink.
+All restarts run together in one batched Nelder-Mead,
+``neldermead._nelder_mead``, which follows scipy's ``_minimize_neldermead``
+step for step on a stack of simplices (scipy itself is not used).  Each
+iteration evaluates the restarts still running in at most three calls: the
+reflections, then the expansion or contraction points, then the vertices of
+the simplices that shrink.
 
 The objectives take a (k, 2d - 2) batch of angles and skip input validation:
-the Renyi orders are checked once, up front, and each call is one product of
-the states with the stacked bases followed by the row-entropy kernel
-``entropy._entropy_rows``.  The memory-mode objective builds no state objects:
-for a pure joint state H(M|B) = H(M) - S(rho_B), with S(rho_B) from the
-Schmidt coefficients.
+the Renyi orders are checked once, up front, and each call builds the states
+from one cosine and one sine of all angles, takes one product with the stacked
+bases and then the row-entropy kernel ``entropy._entropy_rows``.  The
+memory-mode objective builds no state objects: for a pure joint state
+H(M|B) = H(M) - S(rho_B), with S(rho_B) from the ``eigvalsh`` spectrum of the
+smaller Gram matrix of the amplitude matrix.
 
-The spot checks draw a block of random states, then evaluate it at once: one
-product for the outcome distributions, one stacked eigendecomposition per kind
-of state and per reduced state, and the state-free bound terms once per call
-(SCB's once per block).
+The spot checks draw a block of random states, making only the random calls
+and Gram products round by round and normalizing the block at once, then
+evaluate it at once: one product for the outcome distributions, one stacked
+eigendecomposition per kind of state and per reduced state, and the state-free
+bound terms once per call (SCB's once per block).
 """
 
 from __future__ import annotations
@@ -48,11 +51,11 @@ from .bounds import (
 from .core import BipartiteState, DensityMatrix, MeasurementChain, PureState, outcome_distribution
 from .core import _born_probabilities, _mixture
 from .entropy import _entropy_rows, _memory_entropies, _relative_entropies, _spectra, renyi_entropy
-from .generators import random_density_matrix
+from .generators import _gaussian_gram, _unit_trace
+from .neldermead import _nelder_mead
 
 CERTIFICATION_TOL = 1e-6
 GRADIENT_STEP = 1e-5
-_XATOL = 1e-8  # Nelder-Mead's simplex spread at convergence
 MIXED_SPOT_SAMPLES = 50
 SPOT_BLOCK = 64  # spot-check rounds evaluated together; caps the size of the batch arrays
 WEIGHTED_WEIGHTS = (1.0, 1.0, 2.0)  # H(u) + H(v) + 2 H(w), the WEIGHTED bound's entropy sum
@@ -98,134 +101,68 @@ def _broadcast_orders(orders, n: int) -> list[float]:
 
 
 def _state_from_angles(x: np.ndarray, dim: int) -> np.ndarray:
-    """The state vector of each row of the (..., 2 dim - 2) array of angles ``x``."""
-    thetas, phis = x[..., : dim - 1], x[..., dim - 1 :]
-    # amps[k] = sin(theta_0) ... sin(theta_{k-1}) cos(theta_k), the last one without the cosine
-    amps = np.ones(x.shape[:-1] + (dim,))
-    amps[..., 1:] = np.cumprod(np.sin(thetas), axis=-1)
-    amps[..., :-1] *= np.cos(thetas)
-    psi = amps.astype(complex)
-    psi[..., 1:] *= np.exp(1j * phis)
-    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+    """The state vector of each row of the (..., 2 dim - 2) array of angles ``x``.
+
+    The moduli are amps[k] = sin(theta_0) ... sin(theta_{k-1}) cos(theta_k), the last one
+    without the cosine, and amplitude k > 0 carries the phase phi_k.  The parts are written in
+    place from one ``cos`` and one ``sin`` of all angles: the same bits as the product of the
+    real moduli with ``exp(1j * phi)``, whose parts are that cosine and sine.
+    """
+    k = dim - 1
+    c, s = np.cos(x), np.sin(x)
+    psi = np.empty(x.shape[:-1] + (dim,), dtype=complex)
+    re, im = psi.real, psi.imag
+    re[..., 0], im[..., 0] = 1.0, 0.0
+    np.multiply.accumulate(s[..., :k], axis=-1, out=re[..., 1:])
+    re[..., :-1] *= c[..., :k]
+    np.multiply(re[..., 1:], s[..., k:], out=im[..., 1:])
+    re[..., 1:] *= c[..., k:]
+    # np.linalg.norm's sum of squared moduli, without its argument handling
+    psi /= np.sqrt(np.add.reduce((psi.conj() * psi).real, axis=-1, keepdims=True))
+    return psi
 
 
 def _angles_from_state(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    dim = psi.size
-    anchor = int(np.argmax(np.abs(psi)))
-    psi = psi * np.exp(-1j * np.angle(psi[anchor]))
-    if abs(psi[0]) > 1e-12:
-        psi = psi * np.exp(-1j * np.angle(psi[0]))
-    r = np.abs(psi)
-    thetas = np.empty(dim - 1)
-    s = 1.0
-    for k in range(dim - 1):
-        c = r[k] / s if s > 1e-15 else 1.0
-        thetas[k] = math.acos(min(1.0, max(-1.0, c)))
-        s *= math.sin(thetas[k])
-    return np.concatenate([thetas, np.angle(psi[1:])])
+    """Angles of each state vector of the (..., dim) array ``psi``, up to its global phase.
 
-
-def _haar_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
-
-
-def _sorted_simplices(sim: np.ndarray, fsim: np.ndarray):
-    """Each simplex of the (R, n + 1, n) stack with its vertices in increasing value."""
-    rows, order = np.arange(len(fsim))[:, None], np.argsort(fsim, axis=-1)
-    return sim[rows, order], fsim[rows, order]
-
-
-def _nelder_mead(objective, x0: np.ndarray, max_iterations: int, fatol: float):
-    """Nelder-Mead from every row of the (R, n) array ``x0`` at once.
-
-    Step for step scipy's ``_minimize_neldermead`` with its default options
-    (coefficients 1, 2, 0.5, 0.5; each start coordinate x gives a vertex with
-    x * 1.05, or 0.00025 in place of a zero), ``_XATOL`` and ``fatol`` as the
-    stopping spreads and ``maxiter`` = ``maxfev`` = ``max_iterations`` per
-    restart.  As there, an iteration whose evaluation would pass ``maxfev``
-    stops at that evaluation, and each simplex is re-sorted with the default
-    ``argsort`` after every iteration.  ``objective`` maps a (k, n) array of
-    points to their k values; it is called once for the initial simplices and
-    then at most three times per iteration, for the restarts still running.
-
-    Returns the best vertex, its value, the evaluation count and whether the
-    simplex converged (scipy's ``success``), one entry per restart.
+    The phases are taken for all rows at once; the moduli angles run through ``math``'s
+    ``acos`` and ``sin`` one row at a time, as numpy's vectorized pair rounds differently.
     """
-    r, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    k = np.arange(n)
-    sim[:, k + 1, k] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-    fsim = np.full((r, n + 1), np.inf)
-    m = min(n + 1, max_iterations)
-    fsim[:, :m] = objective(sim[:, :m].reshape(r * m, n)).reshape(r, m)
-    nfev = np.full(r, m)
-    if n == 0:  # the one point of an empty search space: evaluated, and converged
-        return sim[:, 0], fsim[:, 0], nfev, np.ones(r, dtype=bool)
-    for _ in range(2):  # scipy sorts the initial simplex twice; an unstable sort may reorder ties
-        sim, fsim = _sorted_simplices(sim, fsim)
-    nit = np.ones(r, dtype=int)
-    success = np.zeros(r, dtype=bool)
-    run = np.flatnonzero((nfev < max_iterations) & (nit < max_iterations))
-    while run.size:
-        s, f = sim[run], fsim[run]
-        converged = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _XATOL) & (
-            np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= fatol
-        )
-        success[run[converged]] = True
-        run, s, f = run[~converged], s[~converged], f[~converged]
-        if not run.size:
-            break
-        xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
-        xr = 2 * xbar - worst
-        fxr = objective(xr)
-        left = max_iterations - nfev[run] - 1  # evaluations left after the reflection
-        expand = fxr < f[:, 0]
-        accept = ~expand & (fxr < f[:, -2])
-        outside = ~expand & ~accept & (fxr < f[:, -1])
-        # the expansion or contraction point; a restart without budget for it stops here
-        tried = ~accept & (left > 0)
-        trial = np.where(
-            expand[:, None],
-            3 * xbar - 2 * worst,
-            np.where(outside[:, None], 1.5 * xbar - 0.5 * worst, 0.5 * xbar + 0.5 * worst),
-        )
-        ftrial = np.full(run.size, np.nan)
-        if tried.any():
-            ftrial[tried] = objective(trial[tried])
-        left -= tried
-        better = np.where(expand, ftrial < fxr, np.where(outside, ftrial <= fxr, ftrial < f[:, -1]))
-        take = tried & better
-        shrink = tried & ~expand & ~take
-        done = accept | (tried & ~shrink)  # the iterations that end by replacing the worst vertex
-        s[done, -1] = np.where(take[:, None], trial, xr)[done]
-        f[done, -1] = np.where(take, ftrial, fxr)[done]
-        used = 1 + tried
-        if shrink.any():
-            # vertex j moves if j <= budget + 1 and is evaluated if j <= budget
-            ss, fs, budget = s[shrink], f[shrink], left[shrink, None]
-            j = np.arange(1, n + 1)
-            moved = ss[:, :1] + 0.5 * (ss[:, 1:] - ss[:, :1])
-            ss[:, 1:] = np.where((j <= budget + 1)[..., None], moved, ss[:, 1:])
-            evaluated = j <= budget
-            fs[:, 1:][evaluated] = objective(ss[:, 1:][evaluated])
-            s[shrink], f[shrink] = ss, fs
-            used[shrink] += evaluated.sum(axis=1)
-            done[shrink] = budget[:, 0] >= n
-        nfev[run] += used
-        nit[run] += done
-        sim[run], fsim[run] = _sorted_simplices(s, f)
-        run = run[(nfev[run] < max_iterations) & (nit[run] < max_iterations)]
-    return sim[:, 0], fsim.min(axis=1), nfev, success
+    psi = np.asarray(psi, dtype=complex)
+    rows = psi.reshape(-1, psi.shape[-1])
+    dim = rows.shape[1]
+    anchor = np.argmax(np.abs(rows), axis=-1)
+    rows = rows * np.exp(-1j * np.angle(rows[np.arange(len(rows)), anchor]))[:, None]
+    lead = np.abs(rows[:, :1]) > 1e-12
+    rows = np.where(lead, rows * np.exp(-1j * np.angle(rows[:, :1])), rows)
+    thetas = np.empty((len(rows), dim - 1))
+    for r, theta in zip(np.abs(rows).tolist(), thetas):
+        s = 1.0
+        for k in range(dim - 1):
+            c = r[k] / s if s > 1e-15 else 1.0
+            theta[k] = math.acos(min(1.0, max(-1.0, c)))
+            s *= math.sin(theta[k])
+    return np.concatenate([thetas, np.angle(rows[:, 1:])], axis=1).reshape(psi.shape[:-1] + (2 * dim - 2,))
+
+
+def _gaussian_ket(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A complex Gaussian vector: a Haar-random state before ``_unit_rows`` divides out its norm."""
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    """Each row of the complex (..., dim) array ``z`` over its norm, in ``np.linalg.norm``'s bits:
+    the sum of two BLAS dot products, here row by row as (1, dim) @ (dim, 1) products."""
+    re, im = z.real[..., None, :], z.imag[..., None, :]
+    return z / np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
 
 
 def _best_restart(objective, dim: int, config: MinimizationConfig, stream: int):
     """Angles and value of the first lowest of ``config.restarts`` batched Nelder-Mead runs from
     Haar-random states of random stream ``stream``, and the number of runs that converged."""
-    rng = np.random.default_rng([config.seed, stream])
-    x0 = np.array([_angles_from_state(_haar_vector(rng, dim)) for _ in range(config.restarts)])
+    # one _gaussian_ket per restart: its real, then its imaginary part
+    z = np.random.default_rng([config.seed, stream]).standard_normal((config.restarts, 2, dim))
+    x0 = _angles_from_state(_unit_rows(z[:, 0] + 1j * z[:, 1]))
     x, fun, _, success = _nelder_mead(objective, x0, config.max_iterations, config.tol)
     best = int(np.argmin(fun))
     return x[best], float(fun[best]), int(success.sum())
@@ -250,6 +187,7 @@ def _pure_objective(chain: MeasurementChain, ords: list[float], weights: list[fl
     """
     bras = _stacked_bras(chain)
     n, dim = len(chain), chain.dim
+    weights = np.array(weights, dtype=float)
 
     def objective(x):
         probs = np.abs(_state_from_angles(x, dim) @ bras.T) ** 2
@@ -262,8 +200,9 @@ def _memory_objective(chain: MeasurementChain, dim_b: int):
     """sum_m H(M_m|B) as a function of the angles of a pure state on A x B.
 
     For a pure joint state the measured outcome and the memory's post-measurement
-    state form a classical-pure mixture, so H(M|B) = H(M) - S(rho_B), with rho_B's
-    spectrum the squared singular values of the (d_A, d_B) amplitude matrix.
+    state form a classical-pure mixture, so H(M|B) = H(M) - S(rho_B).  rho_B has the
+    nonzero spectrum of rho_A; S(rho_B) is taken from the ``eigvalsh`` spectrum of the
+    smaller of the two Gram matrices of the (d_A, d_B) amplitude matrix.
     """
     bras = _stacked_bras(chain)
     n, da = len(chain), chain.dim
@@ -272,8 +211,10 @@ def _memory_objective(chain: MeasurementChain, dim_b: int):
     def objective(x):
         amps = _state_from_angles(x, total).reshape(-1, da, dim_b)
         probs = (np.abs(bras @ amps) ** 2).sum(axis=-1).reshape(-1, n, da)
-        schmidt = np.linalg.svd(amps, compute_uv=False) ** 2
-        return _entropy_rows(probs, (1.0,)).sum(axis=-1) - n * _entropy_rows(schmidt, (1.0,))
+        adj = np.swapaxes(amps.conj(), -1, -2)
+        gram = adj @ amps if dim_b <= da else amps @ adj
+        s_b = _entropy_rows(np.linalg.eigvalsh(gram), (1.0,))
+        return _entropy_rows(probs, (1.0,)).sum(axis=-1) - n * s_b
 
     return objective
 
@@ -340,8 +281,8 @@ def minimize_conditional_entropy_sum(
         BoundName.MEMORY_PURE: value - memory_pure_bound(chain, rho_best),
     }
     rng = np.random.default_rng([config.seed, 3])
-    rhos = np.array([random_density_matrix(total, int(rng.integers(1, total + 1)), rng).matrix
-                     for _ in range(MIXED_SPOT_SAMPLES)])
+    rhos = _unit_trace(np.array([_gaussian_gram(total, int(rng.integers(1, total + 1)), rng)
+                                 for _ in range(MIXED_SPOT_SAMPLES)]))
     s_ab, hc = _memory_entropies(rhos, da, dim_b, _stacked_bras(chain))
     gaps = sum(hc.T) - (mu_multi_bound(chain) + (len(chain) - 1) * s_ab)
     slacks[BoundName.MEMORY_MULTI] = min(slacks[BoundName.MEMORY_MULTI], float(gaps.min()))
@@ -358,6 +299,29 @@ def minimizer_gradient_max(chain: MeasurementChain, psi: PureState, orders=1.0) 
     steps = GRADIENT_STEP * np.eye(x.size)
     values = objective(np.concatenate([x + steps, x - steps]))
     return float(np.abs(values[: x.size] - values[x.size :]).max() / (2.0 * GRADIENT_STEP))
+
+
+def _spot_states(rng: np.random.Generator, d: int, count: int):
+    """The states of ``count`` spot-check rounds: a (2 count, d, d) and a (2 count, d^2, d^2)
+    stack, pure states at even indices and mixed ones at odd.
+
+    Each round draws a Haar-random pure state and a random mixed state on d levels, then both
+    on d x d, with the random calls of a ``_gaussian_ket`` and of ``random_density_matrix`` in
+    that order.  A round makes only those calls and the G G^dagger product; the normalizations and
+    the projectors then run once per block, with the bits of the per-state draws.
+    """
+    kets, rhos = np.empty((count, d), complex), np.empty((2 * count, d, d), complex)
+    kets_ab, joints = np.empty((count, d * d), complex), np.empty((2 * count, d * d, d * d), complex)
+    for i in range(count):
+        kets[i] = _gaussian_ket(rng, d)
+        rhos[2 * i + 1] = _gaussian_gram(d, int(rng.integers(1, d + 1)), rng)
+        kets_ab[i] = _gaussian_ket(rng, d * d)
+        joints[2 * i + 1] = _gaussian_gram(d * d, int(rng.integers(1, d * d + 1)), rng)
+    for states, pure in ((rhos, kets), (joints, kets_ab)):
+        pure = _unit_rows(pure)
+        states[0::2] = pure[:, :, None] * pure.conj()[:, None, :]  # np.outer of each row
+        states[1::2] = _unit_trace(states[1::2])
+    return rhos, joints
 
 
 def spot_check_inequalities(chain: MeasurementChain, samples: int = 200, seed: int = 0) -> dict:
@@ -377,14 +341,7 @@ def spot_check_inequalities(chain: MeasurementChain, samples: int = 200, seed: i
     weighted = weighted_bound(*chain) if n == 3 else None
     worst: dict = {}
     for start in range(0, samples, SPOT_BLOCK):
-        rhos, joints = [], []  # pure states at even indices
-        for _ in range(min(SPOT_BLOCK, samples - start)):
-            psi, mixed = _haar_vector(rng, d), random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
-            phi = _haar_vector(rng, d * d)
-            mixed_ab = random_density_matrix(d * d, int(rng.integers(1, d * d + 1)), rng)
-            rhos += [np.outer(psi, psi.conj()), mixed.matrix]
-            joints += [np.outer(phi, phi.conj()), mixed_ab.matrix]
-        rhos, joints = np.array(rhos), np.array(joints)
+        rhos, joints = _spot_states(rng, d, min(SPOT_BLOCK, samples - start))
         probs = _born_probabilities(bras, rhos).reshape(-1, n, d)
         hs = _entropy_rows(probs, (1.0,))  # (states, N) Shannon entropies
         h, s = sum(hs.T), _entropy_rows(_spectra(rhos), (1.0,))

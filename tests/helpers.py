@@ -31,7 +31,8 @@ from eur.bounds import (
 from eur.core import BipartiteState, PureState, outcome_distribution
 from eur.entropy import LOG_CUTOFF, measured_conditional_entropy, renyi_entropy, shannon_entropy
 from eur.generators import parametric_d3_chain, random_density_matrix
-from eur.verifier import MIXED_SPOT_SAMPLES, WEIGHTED_WEIGHTS, _XATOL, _angles_from_state, _haar_vector
+from eur.neldermead import _XATOL
+from eur.verifier import MIXED_SPOT_SAMPLES, WEIGHTED_WEIGHTS, _angles_from_state
 from scipy.optimize import minimize
 
 
@@ -150,6 +151,30 @@ def loop_state_from_angles(x, dim):
     return psi / np.linalg.norm(psi)
 
 
+def loop_haar_vector(rng, dim):
+    """A Haar-random state vector: a complex Gaussian over its ``np.linalg.norm``."""
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return z / np.linalg.norm(z)
+
+
+def loop_angles_from_state(psi):
+    """Angles of one state vector: its phases through numpy scalars, its moduli angles through math."""
+    psi = np.asarray(psi, dtype=complex)
+    dim = psi.size
+    anchor = int(np.argmax(np.abs(psi)))
+    psi = psi * np.exp(-1j * np.angle(psi[anchor]))
+    if abs(psi[0]) > 1e-12:
+        psi = psi * np.exp(-1j * np.angle(psi[0]))
+    r = np.abs(psi)
+    thetas = np.empty(dim - 1)
+    s = 1.0
+    for k in range(dim - 1):
+        c = r[k] / s if s > 1e-15 else 1.0
+        thetas[k] = math.acos(min(1.0, max(-1.0, c)))
+        s *= math.sin(thetas[k])
+    return np.concatenate([thetas, np.angle(psi[1:])])
+
+
 def validated_pure_objective(chain, x, orders, weights):
     """sum_m weights[m] H_{orders[m]}(M_m) through the validated ``renyi_entropy``, basis by basis."""
     psi = loop_state_from_angles(x, chain.dim)
@@ -178,7 +203,7 @@ def scipy_restart_minimum(objective, dim, config, stream):
     options = nelder_mead_options(config.max_iterations, config.tol)
     best = math.inf
     for _ in range(config.restarts):
-        x0 = _angles_from_state(_haar_vector(rng, dim))
+        x0 = _angles_from_state(loop_haar_vector(rng, dim))
         res = minimize(lambda x: objective(x[None])[0], x0, method="Nelder-Mead", options=options)
         best = min(best, res.fun)
     return best
@@ -248,7 +273,7 @@ def loop_spot_check_inequalities(chain, samples=200, seed=0):
         worst[name] = min(worst.get(name, math.inf), gap)
 
     for _ in range(samples):
-        pure = PureState(_haar_vector(rng, d)).projector()
+        pure = PureState(loop_haar_vector(rng, d)).projector()
         mixed = random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
         for rho in (pure, mixed):
             probs = [outcome_distribution(b, rho) for b in chain]
@@ -263,7 +288,7 @@ def loop_spot_check_inequalities(chain, samples=200, seed=0):
                 lhs = sum(w * hm for w, hm in zip(WEIGHTED_WEIGHTS, h))
                 update(BoundName.WEIGHTED, lhs - weighted_bound(*chain, rho))
 
-        pure_ab = BipartiteState.from_pure(_haar_vector(rng, d * d), d, d)
+        pure_ab = BipartiteState.from_pure(loop_haar_vector(rng, d * d), d, d)
         mixed_ab = BipartiteState(random_density_matrix(d * d, int(rng.integers(1, d * d + 1)), rng), d, d)
         for rho_ab, is_pure in ((pure_ab, True), (mixed_ab, False)):
             hc = [measured_conditional_entropy(b, rho_ab) for b in chain]

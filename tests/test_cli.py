@@ -31,6 +31,43 @@ def mub_pair_file(tmp_path):
     return str(path)
 
 
+# mub_set(dim) file, verify arguments after --mode, stdout lines: the benchmark's two calls
+GOLDEN_VERIFY = {
+    "state": (3, ["--seed", "1"], [
+        "objective_min = 4",
+        "converged restarts: 64/64",
+        "slack MU_MULTI         2.415e+00",
+        "slack SCB_MAX          8.301e-01",
+        "slack STATE_DEPENDENT  2.415e+00",
+        "spot  DEUTSCH_MULTI    1.111e+00",
+        "spot  MU_MULTI         3.422e-01",
+        "spot  STATE_DEPENDENT  3.422e-01",
+        "spot  SCB_MAX          1.743e-01",
+        "spot  MU_TWO           4.720e-02",
+        "spot  MEMORY_MULTI     1.059e+00",
+        "spot  MEMORY_PURE      3.441e-01",
+        "spot  BERTA_TWO        2.042e-02",
+        "CERTIFIED",
+    ]),
+    "memory": (2, ["--dim-b", "2", "--restarts", "16", "--seed", "1"], [
+        "objective_min = -1.33226762955e-15",
+        "converged restarts: 16/16",
+        "slack MEMORY_MULTI     2.850e-01",
+        "slack MEMORY_PURE      -1.554e-15",
+        "spot  DEUTSCH_MULTI    3.432e-01",
+        "spot  MU_MULTI         7.460e-02",
+        "spot  STATE_DEPENDENT  7.460e-02",
+        "spot  SCB_MAX          3.764e-02",
+        "spot  MU_TWO           1.962e-03",
+        "spot  WEIGHTED         6.281e-03",
+        "spot  MEMORY_MULTI     2.145e-01",
+        "spot  MEMORY_PURE      1.674e-02",
+        "spot  BERTA_TWO        8.670e-05",
+        "CERTIFIED",
+    ]),
+}
+
+
 def bound_lines(output):
     """Parse 'NAME value' rows, skipping comment lines."""
     table = {}
@@ -81,6 +118,13 @@ class TestGenerate:
         rc = main(["generate", "--kind", "random", "--dim", "0", "--out", str(tmp_path / "x.json")])
         assert rc == 2
         assert "dimension must be positive, got 0" in capsys.readouterr().err
+
+    def test_random_rejects_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        rc = main(["generate", "--kind", "random", "--dim", "3", "--seed", "-3", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -3\n"
+        assert not out.exists()
 
     def test_random_seeded_reproducibly(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -385,6 +429,35 @@ class TestVerify:
             rc = main(["verify", "--input", mub_pair_file, "--mode", mode, "--samples", "0"])
             assert rc == 2
             assert "samples must be >= 1" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, mub_pair_file, capsys):
+        for mode in ("state", "memory"):
+            rc = main(["verify", "--input", mub_pair_file, "--mode", mode, "--seed", "-3"])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.err == "error: --seed must be non-negative, got -3\n"
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("mode", sorted(GOLDEN_VERIFY))
+    def test_benchmark_calls_print_pinned_output(self, tmp_path, capsys, mode):
+        """The benchmark's two verify calls print these lines.  A value printed below 1e-12 in
+        magnitude is rounding noise at an exact zero and only has to stay below 1e-12."""
+        dim, argv, expected = GOLDEN_VERIFY[mode]
+        path = tmp_path / "chain.json"
+        write_measurement_set(path, eur.mub_set(dim))
+        assert main(["verify", "--input", str(path), "--mode", mode, *argv]) == 0
+        got = capsys.readouterr().out.splitlines()
+        assert len(got) == len(expected)
+        for line, want in zip(got, expected):
+            label, _, value = want.rpartition(" ")
+            try:
+                noise = abs(float(value)) < 1e-12
+            except ValueError:
+                noise = False
+            if noise:
+                assert line.rpartition(" ")[0] == label and abs(float(line.rpartition(" ")[2])) < 1e-12, line
+            else:
+                assert line == want
 
     def test_bad_restarts(self, mub_pair_file, capsys):
         rc = main(

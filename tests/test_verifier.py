@@ -12,13 +12,15 @@ from eur.verifier import (
     SPOT_BLOCK,
     WEIGHTED_WEIGHTS,
     _angles_from_state,
-    _haar_vector,
     _memory_objective,
     _nelder_mead,
     _pure_objective,
+    _spot_states,
     _state_from_angles,
 )
 from helpers import (
+    loop_angles_from_state,
+    loop_haar_vector,
     loop_mixed_memory_gap,
     loop_spot_check_inequalities,
     loop_state_from_angles,
@@ -42,7 +44,7 @@ class TestAngleParameterization:
     def test_round_trip(self, dim):
         rng = np.random.default_rng(dim)
         for _ in range(25):
-            psi = _haar_vector(rng, dim)
+            psi = loop_haar_vector(rng, dim)
             back = _state_from_angles(_angles_from_state(psi), dim)
             assert abs(np.vdot(back, psi)) == pytest.approx(1.0, abs=1e-10)
 
@@ -52,6 +54,18 @@ class TestAngleParameterization:
             x = rng.uniform(-3, 3, size=2 * dim - 2)
             psi = _state_from_angles(x, dim)
             assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+
+    def test_batch_matches_one_vector_at_a_time(self):
+        """Rows of a batch, basis states and states with a zero first amplitude included, give the
+        bits of the one-vector loop."""
+        rng = np.random.default_rng(98)
+        for dim in range(1, 8):
+            psi = np.array([loop_haar_vector(rng, dim) for _ in range(40)] + list(np.eye(dim, dtype=complex)))
+            psi[3, 0] = 0.0
+            got = _angles_from_state(psi)
+            assert got.shape == (len(psi), 2 * dim - 2)
+            np.testing.assert_array_equal(got, [loop_angles_from_state(p) for p in psi])
+            np.testing.assert_array_equal(_angles_from_state(psi[5]), got[5])
 
     def test_basis_states(self):
         # deterministic states sit at the parameterization's corners
@@ -144,7 +158,7 @@ class TestObjectiveKernels:
         chain = random_chain(dim_a, 3, seed=80 + dim_a)
         objective = _memory_objective(chain, dim_b)
         total = dim_a * dim_b
-        product = np.kron(_haar_vector(rng, dim_a), _haar_vector(rng, dim_b))
+        product = np.kron(loop_haar_vector(rng, dim_a), loop_haar_vector(rng, dim_b))
         entangled = np.zeros(total, dtype=complex)
         k = min(dim_a, dim_b)
         entangled[[i * dim_b + i for i in range(k)]] = 1.0 / math.sqrt(k)
@@ -291,6 +305,40 @@ class TestNelderMead:
         assert sum(rows) == nfev.sum()
         assert len(rows) <= 1 + 3 * nfev.max() < nfev.sum()
 
+    @pytest.mark.parametrize("max_iterations", [150, 2000])
+    def test_restart_alone_matches_its_batch_row(self, max_iterations):
+        """Each restart run alone returns the x, fun, nfev and success it has inside the batch, bit
+        for bit, while the batch's other restarts converge earlier, shrink and (with 150
+        evaluations) run out of them inside an iteration.  Rosenbrock rounded down to multiples of
+        1/8 is flat in steps, where contractions fail and simplices shrink."""
+
+        def staircase(x):
+            return np.floor(8.0 * rosenbrock(x)) / 8.0
+
+        n = 3
+        x0 = np.random.default_rng(4).uniform(-2.0, 2.0, size=(8, n))
+        x0[1], x0[2] = 1.0, [1.0, 1.0, 1.01]
+        x, fun, nfev, success = _nelder_mead(staircase, x0, max_iterations, 1e-10)
+        shrank, cut = [], []
+        for r in range(len(x0)):
+            sizes = []
+
+            def recording(points):
+                sizes.append(len(points))
+                return staircase(points)
+
+            x_r, fun_r, nfev_r, success_r = _nelder_mead(recording, x0[r : r + 1], max_iterations, 1e-10)
+            np.testing.assert_array_equal(x_r[0], x[r])
+            assert (fun_r[0], nfev_r[0], success_r[0]) == (fun[r], nfev[r], success[r])
+            # after the initial simplex, a call of more than one point is a shrink; a last call of
+            # 0 or 2 (< n) points is a shrink that the budget cut short
+            shrank.append(max(sizes[1:]) > 1)
+            cut.append(sizes[-1] in (0, 2))
+        assert all(shrank)
+        assert (success & (nfev < nfev.max())).any()  # converged while others were still running
+        if max_iterations == 150:
+            assert any(cut) and not success.all()
+
     def test_empty_search_space(self):
         """With n = 0 each restart's one point is evaluated once and counts as converged."""
         rows = []
@@ -346,6 +394,24 @@ class TestOptimizerHook:
 
         monkeypatch.setattr(verifier, "_nelder_mead", counting)
         return shapes
+
+    def test_start_points_are_the_per_restart_draws(self, monkeypatch):
+        """The batched start points equal, bit for bit, one Haar draw and one angle conversion
+        per restart from the stream of the seed."""
+        starts = []
+        optimizer = verifier._nelder_mead
+
+        def recording(objective, x0, *args):
+            starts.append(x0)
+            return optimizer(objective, x0, *args)
+
+        monkeypatch.setattr(verifier, "_nelder_mead", recording)
+        cfg = eur.MinimizationConfig(restarts=9, seed=12)
+        eur.minimize_entropy_sum(random_chain(4, 2, seed=3), config=cfg)
+        eur.minimize_conditional_entropy_sum(random_chain(2, 2, seed=4), dim_b=3, config=cfg)
+        for x0, dim, stream in zip(starts, (4, 6), (0, 2)):
+            rng = np.random.default_rng([cfg.seed, stream])
+            np.testing.assert_array_equal(x0, [loop_angles_from_state(loop_haar_vector(rng, dim)) for _ in range(9)])
 
     def test_no_scipy_hook(self):
         assert not hasattr(verifier, "minimize")
@@ -422,31 +488,39 @@ class TestSpotCheck:
             for name, gap in want.items():
                 assert abs(got[name] - gap) <= 1e-12, name
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_block_draws_are_the_per_state_draws(self, d):
+        """A block's states equal, bit for bit, the per-round draws of a Haar vector, a
+        random_density_matrix, a joint Haar vector and a joint random_density_matrix, and the
+        random stream continues from the same place."""
+        ours, oracle = np.random.default_rng([d, 4]), np.random.default_rng([d, 4])
+        rhos, joints = _spot_states(ours, d, 20)
+        want_rhos, want_joints = [], []
+        for _ in range(20):
+            psi = loop_haar_vector(oracle, d)
+            rank = int(oracle.integers(1, d + 1))
+            want_rhos += [np.outer(psi, psi.conj()), eur.random_density_matrix(d, rank, oracle).matrix]
+            phi = loop_haar_vector(oracle, d * d)
+            rank = int(oracle.integers(1, d * d + 1))
+            want_joints += [np.outer(phi, phi.conj()), eur.random_density_matrix(d * d, rank, oracle).matrix]
+        np.testing.assert_array_equal(rhos, want_rhos)
+        np.testing.assert_array_equal(joints, want_joints)
+        assert ours.random() == oracle.random()
+
     def test_eigendecompositions_do_not_grow_with_samples(self, monkeypatch):
         """Inside one block the spectra are taken once per stack, whatever the sample count.
-        The mixed draws skip validation and take no spectrum; they are kept out of the count
-        so that it covers the batched evaluation alone."""
-        counts = {"calls": 0, "paused": False}
+        The draws take no spectrum, so every call in the spot checks is counted."""
+        counts = {"calls": 0}
 
         def counting(fn):
             def wrapper(*args, **kwargs):
-                counts["calls"] += not counts["paused"]
+                counts["calls"] += 1
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        draw = verifier.random_density_matrix
-
-        def uncounted_draw(*args, **kwargs):
-            counts["paused"] = True
-            try:
-                return draw(*args, **kwargs)
-            finally:
-                counts["paused"] = False
-
         monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
-        monkeypatch.setattr(verifier, "random_density_matrix", uncounted_draw)
         chain = mub_chain(3, 4)
         per_call = []
         for samples in (5, 50):
