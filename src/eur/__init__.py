@@ -55,7 +55,6 @@ from .verifier import (
     entropy_sum,
     minimize_conditional_entropy_sum,
     minimize_entropy_sum,
-    minimizer_gradient_max,
     spot_check_inequalities,
 )
 

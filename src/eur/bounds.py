@@ -40,7 +40,7 @@ from .core import (
     outcome_distribution,
     overlap_table,
 )
-from .entropy import conditional_entropy, relative_entropy, von_neumann_entropy
+from .entropy import _relative_entropies, conditional_entropy, von_neumann_entropy
 
 PURITY_TOL = 1e-9  # tr(rho^2) must exceed 1 - PURITY_TOL for pure-state-only bounds
 
@@ -246,15 +246,20 @@ def chain_coefficients(chain: MeasurementChain, rho: DensityMatrix) -> np.ndarra
     return _push_weights(chain, outcome_distribution(chain[0], rho))
 
 
+def _state_dependent(chain: MeasurementChain, rhos: np.ndarray, beta: np.ndarray, s):
+    """:func:`state_dependent_bound` of each matrix of the (..., d, d) stack ``rhos``, given its
+    chain weights ``beta`` (..., d) and its entropy ``s``.  No validation."""
+    sigmas = _mixture(chain[len(chain) - 1].vectors, beta / beta.sum(axis=-1, keepdims=True))
+    return len(chain) * s + _relative_entropies(rhos, sigmas)
+
+
 def state_dependent_bound(chain: MeasurementChain, rho: DensityMatrix) -> float:
     """N S(rho) + S(rho || sigma), sigma diagonal in the last basis with the chain weights.
 
     Tighter than :func:`mu_multi_bound_with_state` for every state.  Returns
     ``math.inf`` if rho has support where the chain weights vanish.
     """
-    beta = chain_coefficients(chain, rho)
-    sigma = DensityMatrix(_mixture(chain[len(chain) - 1].vectors, beta / beta.sum()), validate=False)
-    return len(chain) * von_neumann_entropy(rho) + relative_entropy(rho, sigma)
+    return float(_state_dependent(chain, rho.matrix, chain_coefficients(chain, rho), von_neumann_entropy(rho)))
 
 
 def berta_two_bound(a: MeasurementBasis, b: MeasurementBasis, rho: BipartiteState) -> float:

@@ -106,11 +106,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        """Spectrum with small negative noise clamped to zero."""
-        vals = np.linalg.eigvalsh(self.matrix)
-        return np.where(vals < 0.0, 0.0, vals)
-
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
@@ -135,12 +130,6 @@ class MeasurementBasis:
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
-
-    def vector(self, i: int) -> np.ndarray:
-        return self.vectors[i]
-
-    def states(self) -> list[PureState]:
-        return [PureState(row) for row in self.vectors]
 
 
 @dataclass(frozen=True)

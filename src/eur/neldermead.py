@@ -9,16 +9,17 @@ from __future__ import annotations
 import numpy as np
 
 _XATOL = 1e-8  # the simplex spread at convergence
+_FATOL = 1e-10  # the spread of the simplex's values at convergence
 # (a, b) of the trial point a * xbar - b * worst: expansion, outside and inside contraction
 _TRIAL_STEPS = np.array([[3.0, 2.0], [1.5, 0.5], [0.5, -0.5]])
 
 
-def _nelder_mead(objective, x0: np.ndarray, max_iterations: int, fatol: float):
+def _nelder_mead(objective, x0: np.ndarray, max_iterations: int):
     """Nelder-Mead from every row of the (R, n) array ``x0`` at once.
 
     Step for step scipy's ``_minimize_neldermead`` with its default options
     (coefficients 1, 2, 0.5, 0.5; each start coordinate x gives a vertex with
-    x * 1.05, or 0.00025 in place of a zero), ``_XATOL`` and ``fatol`` as the
+    x * 1.05, or 0.00025 in place of a zero), ``_XATOL`` and ``_FATOL`` as the
     stopping spreads and ``maxiter`` = ``maxfev`` = ``max_iterations`` per
     restart.  As there, an iteration whose evaluation would pass ``maxfev``
     stops at that evaluation, and each simplex is re-sorted with the default
@@ -53,7 +54,7 @@ def _nelder_mead(objective, x0: np.ndarray, max_iterations: int, fatol: float):
     while True:
         going = nf < max_iterations
         # f is sorted, so its spread max |f[0] - f[i]| is f[-1] - f[0]
-        close = np.flatnonzero(going & (f[:, -1] - f[:, 0] <= fatol))
+        close = np.flatnonzero(going & (f[:, -1] - f[:, 0] <= _FATOL))
         if close.size:
             converged = close[np.abs(s[1:, close] - s[:1, close]).max(axis=(0, 2)) <= _XATOL]
             going[converged] = False

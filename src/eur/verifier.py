@@ -4,7 +4,11 @@ Pure states are parameterized by 2d - 2 real numbers (hyperspherical moduli
 angles plus relative phases), the objective is minimized with multi-start
 Nelder-Mead from Haar-random starting points, and the gap between the best
 minimum found and each applicable bound is reported as a slack.  Slacks more
-negative than the certification tolerance mean a bound is violated.
+negative than the certification tolerance mean a bound is violated: a result
+is certified when at least one restart converged and no slack is below
+``-CERTIFICATION_TOL`` (``eur verify`` holds the spot checks to the same rule).
+Each restart may spend max(2000, 200 n) objective evaluations on n angles,
+the larger of a fixed 2000 and scipy's Nelder-Mead default.
 
 All restarts run together in one batched Nelder-Mead,
 ``neldermead._nelder_mead``, which follows scipy's ``_minimize_neldermead``
@@ -39,6 +43,7 @@ from .bounds import (
     BoundName,
     _push_weights,
     _scb_max,
+    _state_dependent,
     deutsch_multi_bound,
     memory_multi_bound,
     memory_pure_bound,
@@ -49,13 +54,12 @@ from .bounds import (
     weighted_bound,
 )
 from .core import BipartiteState, DensityMatrix, MeasurementChain, PureState, outcome_distribution
-from .core import _born_probabilities, _mixture
-from .entropy import _entropy_rows, _memory_entropies, _relative_entropies, _spectra, renyi_entropy
+from .core import _born_probabilities
+from .entropy import _entropy_rows, _memory_entropies, _spectra, renyi_entropy
 from .generators import _gaussian_gram, _unit_trace
 from .neldermead import _nelder_mead
 
 CERTIFICATION_TOL = 1e-6
-GRADIENT_STEP = 1e-5
 MIXED_SPOT_SAMPLES = 50
 SPOT_BLOCK = 64  # spot-check rounds evaluated together; caps the size of the batch arrays
 WEIGHTED_WEIGHTS = (1.0, 1.0, 2.0)  # H(u) + H(v) + 2 H(w), the WEIGHTED bound's entropy sum
@@ -64,17 +68,16 @@ WEIGHTED_WEIGHTS = (1.0, 1.0, 2.0)  # H(u) + H(v) + 2 H(w), the WEIGHTED bound's
 @dataclass(frozen=True)
 class MinimizationConfig:
     restarts: int = 64
-    max_iterations: int = 2000
-    tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+
+
+def _slacks_hold(slacks: dict) -> bool:
+    """No slack below ``-CERTIFICATION_TOL``."""
+    return all(s >= -CERTIFICATION_TOL for s in slacks.values())
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,18 @@ class VerificationResult:
     objective_min: float
     minimizer: object  # PureState (system mode) or BipartiteState (memory mode)
     slack_per_bound: dict
-    certified: bool
     converged_restarts: int
+
+    @property
+    def certified(self) -> bool:
+        """At least one restart converged and every slack holds."""
+        return self.converged_restarts >= 1 and _slacks_hold(self.slack_per_bound)
+
+
+def _budget(n: int) -> int:
+    """Objective evaluations per restart of an n-dimensional search: 2000, or scipy's
+    Nelder-Mead default of 200 per variable where that is larger (n > 10)."""
+    return max(2000, 200 * n)
 
 
 def _broadcast_orders(orders, n: int) -> list[float]:
@@ -163,7 +176,7 @@ def _best_restart(objective, dim: int, config: MinimizationConfig, stream: int):
     # one _gaussian_ket per restart: its real, then its imaginary part
     z = np.random.default_rng([config.seed, stream]).standard_normal((config.restarts, 2, dim))
     x0 = _angles_from_state(_unit_rows(z[:, 0] + 1j * z[:, 1]))
-    x, fun, _, success = _nelder_mead(objective, x0, config.max_iterations, config.tol)
+    x, fun, _, success = _nelder_mead(objective, x0, _budget(x0.shape[1]))
     best = int(np.argmin(fun))
     return x[best], float(fun[best]), int(success.sum())
 
@@ -254,8 +267,7 @@ def minimize_entropy_sum(
     else:
         slacks[BoundName.DEUTSCH_MULTI] = value - deutsch_multi_bound(chain)
 
-    certified = converged >= 1 and all(s >= -CERTIFICATION_TOL for s in slacks.values())
-    return VerificationResult(value, psi, slacks, certified, converged)
+    return VerificationResult(value, psi, slacks, converged)
 
 
 def minimize_conditional_entropy_sum(
@@ -287,18 +299,7 @@ def minimize_conditional_entropy_sum(
     gaps = sum(hc.T) - (mu_multi_bound(chain) + (len(chain) - 1) * s_ab)
     slacks[BoundName.MEMORY_MULTI] = min(slacks[BoundName.MEMORY_MULTI], float(gaps.min()))
 
-    certified = converged >= 1 and all(s >= -CERTIFICATION_TOL for s in slacks.values())
-    return VerificationResult(value, rho_best, slacks, certified, converged)
-
-
-def minimizer_gradient_max(chain: MeasurementChain, psi: PureState, orders=1.0) -> float:
-    """Largest central-difference gradient component of the objective at psi, step ``GRADIENT_STEP``."""
-    ords = _broadcast_orders(orders, len(chain))
-    objective = _pure_objective(chain, ords, [1.0] * len(chain))
-    x = _angles_from_state(psi.amplitudes)
-    steps = GRADIENT_STEP * np.eye(x.size)
-    values = objective(np.concatenate([x + steps, x - steps]))
-    return float(np.abs(values[: x.size] - values[x.size :]).max() / (2.0 * GRADIENT_STEP))
+    return VerificationResult(value, rho_best, slacks, converged)
 
 
 def _spot_states(rng: np.random.Generator, d: int, count: int):
@@ -346,11 +347,10 @@ def spot_check_inequalities(chain: MeasurementChain, samples: int = 200, seed: i
         hs = _entropy_rows(probs, (1.0,))  # (states, N) Shannon entropies
         h, s = sum(hs.T), _entropy_rows(_spectra(rhos), (1.0,))
         beta = _push_weights(chain, probs[:, 0])  # chain weights on the last basis
-        sigmas = _mixture(chain[n - 1].vectors, beta / beta.sum(axis=-1, keepdims=True))
         gaps = {
             BoundName.DEUTSCH_MULTI: sum(_entropy_rows(probs, (math.inf,)).T) - deutsch,
             BoundName.MU_MULTI: h - (mu + (n - 1) * s),
-            BoundName.STATE_DEPENDENT: h - (n * s + _relative_entropies(rhos, sigmas)),
+            BoundName.STATE_DEPENDENT: h - _state_dependent(chain, rhos, beta, s),
             BoundName.SCB_MAX: h - _scb_max(chain.overlaps, s),
             BoundName.MU_TWO: hs[:, 0] + hs[:, 1] - (pairs[0] + s),
         }

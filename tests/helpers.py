@@ -31,8 +31,8 @@ from eur.bounds import (
 from eur.core import BipartiteState, PureState, outcome_distribution
 from eur.entropy import LOG_CUTOFF, measured_conditional_entropy, renyi_entropy, shannon_entropy
 from eur.generators import parametric_d3_chain, random_density_matrix
-from eur.neldermead import _XATOL
-from eur.verifier import MIXED_SPOT_SAMPLES, WEIGHTED_WEIGHTS, _angles_from_state
+from eur.neldermead import _FATOL, _XATOL
+from eur.verifier import MIXED_SPOT_SAMPLES, WEIGHTED_WEIGHTS, _angles_from_state, _budget
 from scipy.optimize import minimize
 
 
@@ -188,9 +188,9 @@ def validated_memory_objective(chain, x, dim_b):
     return sum(measured_conditional_entropy(b, rho) for b in chain)
 
 
-def nelder_mead_options(max_iterations, tol):
+def nelder_mead_options(max_iterations):
     """The scipy Nelder-Mead options the batched optimizer reproduces."""
-    return {"maxiter": max_iterations, "maxfev": max_iterations, "fatol": tol, "xatol": _XATOL}
+    return {"maxiter": max_iterations, "maxfev": max_iterations, "fatol": _FATOL, "xatol": _XATOL}
 
 
 def scipy_restart_minimum(objective, dim, config, stream):
@@ -200,7 +200,7 @@ def scipy_restart_minimum(objective, dim, config, stream):
     ``objective`` takes a batch of angle rows and scipy hands it one row per call.
     """
     rng = np.random.default_rng([config.seed, stream])
-    options = nelder_mead_options(config.max_iterations, config.tol)
+    options = nelder_mead_options(_budget(2 * dim - 2))
     best = math.inf
     for _ in range(config.restarts):
         x0 = _angles_from_state(loop_haar_vector(rng, dim))

@@ -430,6 +430,18 @@ class TestVerify:
             assert rc == 2
             assert "samples must be >= 1" in capsys.readouterr().err
 
+    def test_bad_dim_b_fails_before_spot_checks(self, mub_pair_file, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the spot checks ran")
+
+        monkeypatch.setattr(cli, "spot_check_inequalities", never)
+        for dim_b in ("0", "-2"):
+            rc = main(["verify", "--input", mub_pair_file, "--mode", "memory", "--dim-b", dim_b])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.err == f"error: --dim-b must be positive, got {dim_b}\n"
+            assert captured.out == ""
+
     def test_negative_seed_rejected(self, mub_pair_file, capsys):
         for mode in ("state", "memory"):
             rc = main(["verify", "--input", mub_pair_file, "--mode", mode, "--seed", "-3"])

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import eur
 from eur.core import DensityMatrix, MeasurementBasis, MeasurementChain, PureState
+from eur.entropy import _spectra
 from helpers import random_chain, random_pure_density
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -50,7 +51,7 @@ class TestDensityMatrix:
     def test_small_negative_eigenvalue_clamped(self):
         eps = 5e-11
         rho = DensityMatrix(np.diag([1.0 + eps, -eps]))
-        vals = rho.eigenvalues()
+        vals = _spectra(rho.matrix)
         assert vals.min() == 0.0
         assert_allclose(vals.sum(), 1.0, atol=1e-9)
 
@@ -81,11 +82,6 @@ class TestMeasurementBasis:
         v = np.array([[1, 0], [1e-10, 1]], dtype=complex)
         basis = MeasurementBasis(v)
         assert basis.vectors[1, 0] == 1e-10
-
-    def test_states_roundtrip(self):
-        b = hadamard_basis()
-        assert all(isinstance(s, PureState) for s in b.states())
-        assert b.vector(0)[0] == pytest.approx(S2)
 
 
 class TestMeasurementChain:
@@ -158,7 +154,7 @@ class TestOutcomeDistribution:
         rho = eur.random_density_matrix(4, 3, seed=7)
         basis = eur.random_basis(4, seed=8)
         p = eur.outcome_distribution(basis, rho)
-        manual = [np.vdot(basis.vector(i), rho.matrix @ basis.vector(i)).real for i in range(4)]
+        manual = [np.vdot(basis.vectors[i], rho.matrix @ basis.vectors[i]).real for i in range(4)]
         assert_allclose(p, manual, atol=1e-13)
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
         assert p.min() >= 0.0

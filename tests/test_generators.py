@@ -151,7 +151,7 @@ class TestRandomDensityMatrix:
 
     def test_rank_controls_spectrum(self):
         rho = eur.random_density_matrix(4, 2, seed=7)
-        vals = np.sort(rho.eigenvalues())
+        vals = np.linalg.eigvalsh(rho.matrix)
         assert_allclose(vals[:2], 0.0, atol=1e-12)
         assert vals[2] > 1e-6
 
