@@ -59,6 +59,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ValueError(f"range endpoints must be numbers, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"range endpoints must be finite, got {text!r}")
     if not lo <= hi:
         raise ValueError(f"range start must not exceed stop, got {text!r}")
     return lo, hi
@@ -93,13 +95,12 @@ def cmd_scan(args) -> int:
             raise ValueError("scanning over phi requires a fixed --a")
         grid = np.full(args.steps, args.a), np.linspace(lo, hi, args.steps)
 
-    rows = [",".join(f"{cell:.12g}" for cell in cells) for cells in _scan_rows(*grid, requested)]
-
+    rows = _scan_rows(*grid, requested)
     header = ",".join(["a", "phi"] + [SCAN_BOUNDS[name][0] for name in requested])
+    # "%.12g" % x and format(x, ".12g") give the same bytes; one format per row, one write
+    row_format = ",".join(["%.12g"] * (2 + len(requested))) + "\n"
     with open(args.out, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.write(header + "\n" + "".join(row_format % row for row in rows))
     print(f"{len(rows)} rows -> {args.out}")
     return 0
 

@@ -34,15 +34,13 @@ def _check_finite(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
-def _check_basis_rows(v: np.ndarray) -> None:
-    """Reject a (..., d, d) stack of row bases unless every entry is finite and every basis orthonormal."""
-    _check_finite(v, "basis")
-    gram = v.conj() @ np.swapaxes(v, -1, -2)
+def _check_gram(gram: np.ndarray) -> None:
+    """Reject a (..., d, d) stack of Gram matrices <u_i|u_j> of row bases unless every basis is orthonormal."""
     diag = np.diagonal(gram, axis1=-2, axis2=-1)
     norm_err = np.abs(diag.real - 1.0).max()
     if norm_err > NORM_TOL:
         raise ValueError(f"basis row norms deviate from 1 by up to {norm_err:.3e}")
-    off = gram - diag[..., None] * np.eye(v.shape[-1])
+    off = gram - diag[..., None] * np.eye(gram.shape[-1])
     ortho_err = np.abs(off).max()
     if ortho_err > ORTHO_TOL:
         raise ValueError(f"basis rows are not orthogonal: max |<u_i|u_j>| = {ortho_err:.3e}")
@@ -124,7 +122,8 @@ class MeasurementBasis:
     def __post_init__(self):
         # row-major storage, so a basis and its file round trip give bit-identical products
         v = np.ascontiguousarray(_as_square_matrix(self.vectors, "basis"))
-        _check_basis_rows(v)
+        _check_finite(v, "basis")
+        _check_gram(_inner(v, v))
         object.__setattr__(self, "vectors", _freeze(v))
 
     @property
@@ -217,17 +216,27 @@ def overlap_table(a: MeasurementBasis, b: MeasurementBasis) -> np.ndarray:
     doubly stochastic: every row and column sums to one.
     """
     _check_same_dim(a.dim, b.dim, "overlap_table")
-    return _overlaps(a.vectors, b.vectors)
+    return np.abs(_inner(a.vectors, b.vectors)) ** 2
 
 
-def _overlaps(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """|<u_i|w_j>|^2 for the rows of the (..., d, d) stacks ``u`` and ``w``, broadcast."""
-    return np.abs(u.conj() @ np.swapaxes(w, -1, -2)) ** 2
+def _inner(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<u_i|w_j> for the rows of the (..., d, d) stacks ``u`` and ``w``, broadcast."""
+    return u.conj() @ np.swapaxes(w, -1, -2)
 
 
 def _overlap_bank(v: np.ndarray) -> np.ndarray:
-    """(..., N, N, d, d) bank of every chain in the (..., N, d, d) stack of row bases ``v``."""
-    return _overlaps(v[..., :, None, :, :], v[..., None, :, :, :])
+    """(..., N, N, d, d) bank of every chain in the (..., N, d, d) stack of row bases ``v``.
+
+    Rejects the stack unless every entry is finite and every basis orthonormal, with the checks
+    and messages of :class:`MeasurementBasis`.  Each basis' Gram matrix is read from the diagonal
+    blocks of the bank's own inner products, which are then squared, so one product serves both.
+    A basis the constructor accepted passes here too: its block is the same product.
+    """
+    _check_finite(v, "basis")
+    g = _inner(v[..., :, None, :, :], v[..., None, :, :, :])
+    n = v.shape[-3]
+    _check_gram(g[..., range(n), range(n), :, :])
+    return np.abs(g) ** 2
 
 
 def max_overlap(a: MeasurementBasis, b: MeasurementBasis) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BipartiteState, DensityMatrix, MeasurementBasis, MeasurementChain, PureState, _check_basis_rows
+from .core import BipartiteState, DensityMatrix, MeasurementBasis, MeasurementChain, PureState
 
 
 def _is_prime(n: int) -> bool:
@@ -51,8 +51,13 @@ def mub_set(dim: int, count: int | None = None) -> list[MeasurementBasis]:
 
 
 def _paper_d3_vectors(a, phi) -> np.ndarray:
-    """Validated (..., 3, 3, 3) bases of :func:`parametric_d3_chain`, one chain per entry of the
-    broadcast ``a`` and ``phi``; the first bad entry in C order is reported, ``a`` before ``phi``."""
+    """(..., 3, 3, 3) bases of :func:`parametric_d3_chain`, one chain per entry of the broadcast
+    ``a`` and ``phi``; the first bad entry in C order is reported, ``a`` before ``phi``.
+
+    The parameters are checked here, the bases by their consumer: ``MeasurementBasis`` in
+    :func:`parametric_d3_chain`, and ``core._overlap_bank`` in ``eur scan``, which reads the
+    orthonormality check from the products it computes anyway.
+    """
     a, phi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(phi, dtype=float))
     bad = ~((0.0 <= a) & (a <= 1.0) & np.isfinite(phi))
     if bad.any():
@@ -69,7 +74,6 @@ def _paper_d3_vectors(a, phi) -> np.ndarray:
     v[..., 2, 0, 0], v[..., 2, 0, 1] = ra, e * rb
     v[..., 2, 1, 0], v[..., 2, 1, 1] = rb, -e * ra
     v[..., 2, 2, 2] = 1.0
-    _check_basis_rows(v)
     return v
 
 

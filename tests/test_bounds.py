@@ -319,6 +319,26 @@ class TestOrderSearch:
         assert_allclose(best, exhaustive, atol=1e-12)
         assert_allclose(eur.deutsch_multi_bound(chain.reordered(order)), best, atol=1e-12)
 
+    def test_deutsch_search_closes_each_cycle_once(self, monkeypatch):
+        closed, steps = [], eur.bounds._deutsch_steps
+
+        def counting_steps(bank):
+            f, step, close = steps(bank)
+
+            def counted_close(first, last, v):
+                closed.append(len(v))
+                return close(first, last, v)
+
+            return f, step, counted_close
+
+        monkeypatch.setattr(eur.bounds, "_deutsch_steps", counting_steps)
+        for n in range(2, 9):
+            chain = random_chain(2, n, seed=1500 + n)
+            want = reordered_best_order(chain, eur.deutsch_multi_bound, _distinct_cyclic_orders(n))
+            closed.clear()
+            assert eur.deutsch_multi_bound_best_order(chain) == want
+            assert sum(closed) == (1 if n == 2 else math.factorial(n - 1) // 2)
+
     def test_mu_best_order_dominates_input_order(self):
         for seed in range(10):
             chain = random_chain(3, 3, seed=750 + seed)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -261,6 +262,19 @@ class TestScan:
             assert capsys.readouterr().err.splitlines() == [f"error: parameter phi must be finite, got {phi}"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("text", ["nan:1", "0:nan", "0:inf", "-inf:0"])
+    def test_non_finite_range_is_one_error_line(self, tmp_path, capsys, text):
+        for param, fixed in (("phi", ["--a", "0.5"]), ("a", ["--phi", "0"])):
+            argv = [
+                "scan", "--family", "paper-d3", "--param", param,
+                f"--range={text}", "--steps", "3", *fixed, "--out", str(tmp_path / "x.csv"),
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 2
+            assert capsys.readouterr().err.splitlines() == [f"error: range endpoints must be finite, got {text!r}"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_of_range_grid_reports_first_bad_point(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         for steps, first_bad in (("3", "1.5"), ("5", "1.25")):
@@ -281,6 +295,20 @@ class TestScan:
         assert main(argv) == 0
         names = list(SCAN_ORACLE)
         assert out.read_text() == scan_csv(names, loop_scan_rows(np.array([0.4]), np.array([0.25]), names))
+
+
+# sha256 of the benchmark's 2001-step phi scan; a copy of SCAN_SHA256[2001] in bench/workloads.py
+BENCHMARK_SCAN_SHA256 = "b3e8c9991adc6732fdc59e341bf45939a9d877ab06d6699014955474ea3a5488"
+
+
+def test_benchmark_scan_csv_bytes_are_pinned(tmp_path):
+    out = tmp_path / "scan.csv"
+    argv = [
+        "scan", "--family", "paper-d3", "--param", "phi", "--range", "0:6.283185307179586",
+        "--steps", "2001", "--a", "0.3", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCHMARK_SCAN_SHA256
 
 
 def _bits(rows):
@@ -321,6 +349,19 @@ class TestBatchedScan:
         names = list(SCAN_ORACLE)
         assert _bits(cli._scan_rows(a, phi, names)) == _bits(loop_scan_rows(a, phi, names))
         assert stacks == [cli._SCAN_BLOCK, cli._SCAN_BLOCK, 3]
+
+    def test_parameters_are_checked_before_the_bases(self, monkeypatch):
+        def rejecting_bank(v):
+            raise ValueError("basis rows are not orthogonal")
+
+        monkeypatch.setattr(cli, "_overlap_bank", rejecting_bank)
+        names = list(SCAN_ORACLE)
+        bad_points = ((1.5, 0.0, r"a must lie in \[0, 1\], got 1.5"), (0.5, np.nan, "phi must be finite, got nan"))
+        for a, phi, message in bad_points:
+            with pytest.raises(ValueError, match=message):
+                cli._scan_rows(np.array([0.5, a]), np.array([0.0, phi]), names)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            cli._scan_rows(np.array([0.5]), np.array([0.0]), names)
 
     def test_readme_a_scan_csv_is_the_loop_csv(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import eur
-from eur.core import DensityMatrix, MeasurementBasis, MeasurementChain, PureState
+from eur.core import NORM_TOL, DensityMatrix, MeasurementBasis, MeasurementChain, PureState, _overlap_bank
 from eur.entropy import _spectra
 from helpers import random_chain, random_pure_density
 
@@ -115,6 +115,47 @@ class TestMeasurementChain:
         assert chain.overlaps is bank
         with pytest.raises(ValueError):
             bank[0, 1, 0, 0] = 0.0
+
+
+class TestOverlapBankCheck:
+    """The bank validates its stack of bases from its own products, as ``MeasurementBasis`` does."""
+
+    def test_bad_basis_in_a_stack_gives_the_constructor_message(self):
+        good, other = eur.random_basis(3, 31).vectors, eur.random_basis(3, 32).vectors
+        non_finite = good.copy()
+        non_finite[1, 2] = np.nan
+        off_norm = good * np.array([[1.0], [1.0 + 1e-8], [1.0]])
+        skew = good.copy()
+        skew[2] += 1e-8 * good[0]  # unit norm to rounding, 1e-8 off orthogonal
+        for v, start in ((non_finite, "basis contains non-finite"), (off_norm, "basis row norms deviate"),
+                         (skew, "basis rows are not orthogonal")):
+            with pytest.raises(ValueError, match=start) as want:
+                MeasurementBasis(v)
+            # two chains of two bases, the bad one last
+            with pytest.raises(ValueError) as got:
+                _overlap_bank(np.array([[good, other], [other, v]]))
+            assert str(got.value) == str(want.value)
+
+    def test_accepts_every_chain_its_constructor_accepted(self):
+        # rows scaled to norm errors just around NORM_TOL: the constructor keeps some, rejects others
+        rng = np.random.default_rng(33)
+        accepted, rejected = [], 0
+        for k in range(200):
+            v = eur.random_basis(4, 3400 + k).vectors
+            v = v * np.sqrt(1.0 + NORM_TOL * rng.uniform(0.999, 1.001, (4, 1)))
+            try:
+                accepted.append(MeasurementBasis(v))
+            except ValueError:
+                rejected += 1
+        assert accepted and rejected
+        assert MeasurementChain(tuple(accepted)).overlaps.shape == (len(accepted), len(accepted), 4, 4)
+        # the near-tolerance chains of the MU prune test
+        mub5 = eur.mub_set(5)
+        shrunk = MeasurementBasis(mub5[0].vectors * np.sqrt(1.0 - 5e-11))
+        z = rng.standard_normal((2, 5, 5))
+        v = mub5[1].vectors + 1e-10 * (z[0] + 1j * z[1])
+        perturbed = MeasurementBasis(v / np.linalg.norm(v, axis=1, keepdims=True))
+        assert MeasurementChain((shrunk, perturbed, *mub5[2:])).overlaps.shape == (6, 6, 5, 5)
 
 
 class TestOverlapTable:
