@@ -8,7 +8,9 @@ negative than the certification tolerance mean a bound is violated: a result
 is certified when at least one restart converged and no slack is below
 ``-CERTIFICATION_TOL`` (``eur verify`` holds the spot checks to the same rule).
 Each restart may spend max(2000, 200 n) objective evaluations on n angles,
-the larger of a fixed 2000 and scipy's Nelder-Mead default.
+the larger of a fixed 2000 and scipy's Nelder-Mead default, per run; a restart
+that has not converged is run again from where it stopped, up to
+``RESTART_PASSES`` runs in all, and counts as converged if any run converged.
 
 All restarts run together in one batched Nelder-Mead,
 ``neldermead._nelder_mead``, which follows scipy's ``_minimize_neldermead``
@@ -25,11 +27,11 @@ memory-mode objective builds no state objects: for a pure joint state
 H(M|B) = H(M) - S(rho_B), with S(rho_B) from the ``eigvalsh`` spectrum of the
 smaller Gram matrix of the amplitude matrix.
 
-The spot checks draw a block of random states, making only the random calls
-and Gram products round by round and normalizing the block at once, then
-evaluate it at once: one product for the outcome distributions, one stacked
-eigendecomposition per kind of state and per reduced state, and the state-free
-bound terms once per call (SCB's once per block).
+Every bound's left-hand side and value on a stack of states come from one of
+two gap kernels, ``_state_gaps`` and ``_memory_gaps``: one product for the
+outcome distributions and one stacked eigendecomposition per kind of state.
+The spot checks (drawn and evaluated a block at a time), memory mode's mixed
+samples and the minimizers' slacks all read from them.
 """
 
 from __future__ import annotations
@@ -45,12 +47,8 @@ from .bounds import (
     _scb_max,
     _state_dependent,
     deutsch_multi_bound,
-    memory_multi_bound,
-    memory_pure_bound,
     mu_multi_bound,
     mu_two_bound,
-    scb_max_bound,
-    state_dependent_bound,
     weighted_bound,
 )
 from .core import BipartiteState, DensityMatrix, MeasurementChain, PureState, outcome_distribution
@@ -61,6 +59,7 @@ from .neldermead import _nelder_mead
 
 CERTIFICATION_TOL = 1e-6
 MIXED_SPOT_SAMPLES = 50
+RESTART_PASSES = 5  # Nelder-Mead runs per restart at most: the first, then resumptions of the unconverged
 SPOT_BLOCK = 64  # spot-check rounds evaluated together; caps the size of the batch arrays
 WEIGHTED_WEIGHTS = (1.0, 1.0, 2.0)  # H(u) + H(v) + 2 H(w), the WEIGHTED bound's entropy sum
 
@@ -171,12 +170,17 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
 
 
 def _best_restart(objective, dim: int, config: MinimizationConfig, stream: int):
-    """Angles and value of the first lowest of ``config.restarts`` batched Nelder-Mead runs from
-    Haar-random states of random stream ``stream``, and the number of runs that converged."""
+    """Angles and value of the first lowest of ``config.restarts`` batched Nelder-Mead restarts from
+    Haar-random states of random stream ``stream``, and the number of restarts that converged."""
     # one _gaussian_ket per restart: its real, then its imaginary part
     z = np.random.default_rng([config.seed, stream]).standard_normal((config.restarts, 2, dim))
-    x0 = _angles_from_state(_unit_rows(z[:, 0] + 1j * z[:, 1]))
-    x, fun, _, success = _nelder_mead(objective, x0, _budget(x0.shape[1]))
+    x = _angles_from_state(_unit_rows(z[:, 0] + 1j * z[:, 1]))
+    fun, success = np.empty(len(x)), np.zeros(len(x), dtype=bool)
+    for _ in range(RESTART_PASSES):  # each pass resumes the unconverged restarts from where they stopped
+        redo = np.flatnonzero(~success)
+        if not redo.size:
+            break
+        x[redo], fun[redo], _, success[redo] = _nelder_mead(objective, x[redo], _budget(x.shape[1]))
     best = int(np.argmin(fun))
     return x[best], float(fun[best]), int(success.sum())
 
@@ -253,20 +257,17 @@ def minimize_entropy_sum(
     objective = _pure_objective(chain, ords, [1.0] * len(chain))
     x, value, converged = _best_restart(objective, chain.dim, config, stream=0)
     psi = PureState(_state_from_angles(x, chain.dim))
-
-    slacks = {}
-    if all(a == 1.0 for a in ords):
-        slacks[BoundName.MU_MULTI] = value - mu_multi_bound(chain)
-        slacks[BoundName.SCB_MAX] = value - scb_max_bound(chain)
-        slacks[BoundName.STATE_DEPENDENT] = value - state_dependent_bound(chain, psi.projector())
-        if len(chain) == 3:
-            weighted = _pure_objective(chain, ords, WEIGHTED_WEIGHTS)
-            _, w_value, w_conv = _best_restart(weighted, chain.dim, config, stream=1)
-            slacks[BoundName.WEIGHTED] = w_value - weighted_bound(chain[0], chain[1], chain[2])
-            converged = min(converged, w_conv)
-    else:
-        slacks[BoundName.DEUTSCH_MULTI] = value - deutsch_multi_bound(chain)
-
+    gaps = _state_gaps(chain, psi.projector().matrix[None])
+    shannon = all(a == 1.0 for a in ords)
+    names = ((BoundName.MU_MULTI, BoundName.SCB_MAX, BoundName.STATE_DEPENDENT) if shannon
+             else (BoundName.DEUTSCH_MULTI,))
+    slacks = {name: value - float(gaps[name][1][0]) for name in names}  # objective_min - bound at the minimizer
+    if shannon and len(chain) == 3:
+        weighted = _pure_objective(chain, ords, WEIGHTED_WEIGHTS)
+        w_x, w_value, w_conv = _best_restart(weighted, chain.dim, config, stream=1)
+        w_rho = PureState(_state_from_angles(w_x, chain.dim)).projector().matrix[None]
+        slacks[BoundName.WEIGHTED] = w_value - float(_state_gaps(chain, w_rho)[BoundName.WEIGHTED][1][0])
+        converged = min(converged, w_conv)
     return VerificationResult(value, psi, slacks, converged)
 
 
@@ -287,19 +288,51 @@ def minimize_conditional_entropy_sum(
     total = da * dim_b
     x, value, converged = _best_restart(_memory_objective(chain, dim_b), total, config, stream=2)
     rho_best = BipartiteState.from_pure(_state_from_angles(x, total), da, dim_b)
-
-    slacks = {
-        BoundName.MEMORY_MULTI: value - memory_multi_bound(chain, rho_best),
-        BoundName.MEMORY_PURE: value - memory_pure_bound(chain, rho_best),
-    }
     rng = np.random.default_rng([config.seed, 3])
-    rhos = _unit_trace(np.array([_gaussian_gram(total, int(rng.integers(1, total + 1)), rng)
-                                 for _ in range(MIXED_SPOT_SAMPLES)]))
-    s_ab, hc = _memory_entropies(rhos, da, dim_b, _stacked_bras(chain))
-    gaps = sum(hc.T) - (mu_multi_bound(chain) + (len(chain) - 1) * s_ab)
-    slacks[BoundName.MEMORY_MULTI] = min(slacks[BoundName.MEMORY_MULTI], float(gaps.min()))
-
+    mixed = [_gaussian_gram(total, int(rng.integers(1, total + 1)), rng) for _ in range(MIXED_SPOT_SAMPLES)]
+    # row 0 is the minimizer, the other rows the mixed samples
+    gaps = _memory_gaps(chain, np.concatenate([rho_best.matrix[None], _unit_trace(np.array(mixed))]), dim_b)
+    lhs, bound = gaps[BoundName.MEMORY_MULTI]
+    slacks = {BoundName.MEMORY_MULTI: min(value - float(bound[0]), float((lhs - bound)[1:].min())),
+              BoundName.MEMORY_PURE: value - float(gaps[BoundName.MEMORY_PURE][1][0])}
     return VerificationResult(value, rho_best, slacks, converged)
+
+
+def _state_gaps(chain: MeasurementChain, rhos: np.ndarray) -> dict:
+    """{bound: (left-hand side, bound value)} of every state-mode bound on each density matrix of
+    the (k, d, d) stack ``rhos``, as (k,) arrays: one product gives every outcome distribution and
+    one ``eigvalsh`` every S(rho).  No validation."""
+    n = len(chain)
+    probs = _born_probabilities(_stacked_bras(chain), rhos).reshape(-1, n, chain.dim)
+    hs, h_min = _entropy_rows(probs, (1.0,)), sum(_entropy_rows(probs, (math.inf,)).T)  # hs: (k, N)
+    h, s = sum(hs.T), _entropy_rows(_spectra(rhos), (1.0,))
+    beta = _push_weights(chain, probs[:, 0])  # chain weights on the last basis
+    gaps = {
+        BoundName.DEUTSCH_MULTI: (h_min, np.full_like(s, deutsch_multi_bound(chain))),
+        BoundName.MU_MULTI: (h, mu_multi_bound(chain) + (n - 1) * s),
+        BoundName.STATE_DEPENDENT: (h, _state_dependent(chain, rhos, beta, s)),
+        BoundName.SCB_MAX: (h, _scb_max(chain.overlaps, s)),
+        BoundName.MU_TWO: (hs[:, 0] + hs[:, 1], mu_two_bound(chain[0], chain[1]) + s),
+    }
+    if n == 3:
+        lhs = sum(w * hm for w, hm in zip(WEIGHTED_WEIGHTS, hs.T))
+        gaps[BoundName.WEIGHTED] = (lhs, weighted_bound(*chain) + 2.0 * s)
+    return gaps
+
+
+def _memory_gaps(chain: MeasurementChain, joints: np.ndarray, dim_b: int) -> dict:
+    """{bound: (left-hand side, bound value)} of every memory bound on each joint matrix of the
+    (k, d d_B, d d_B) stack ``joints``, A measured by the chain.  BERTA_TWO's arrays are (k, N - 1),
+    a column per consecutive pair; MEMORY_PURE holds only on pure joint states.  No validation."""
+    n = len(chain)
+    s_ab, hc = _memory_entropies(joints, chain.dim, dim_b, _stacked_bras(chain))
+    hc_sum, mu = sum(hc.T), mu_multi_bound(chain)
+    pairs = np.array([mu_two_bound(chain[m], chain[m + 1]) for m in range(n - 1)])  # -log2 c(M_m, M_m+1)
+    return {
+        BoundName.MEMORY_MULTI: (hc_sum, mu + (n - 1) * s_ab),
+        BoundName.MEMORY_PURE: (hc_sum, mu + s_ab),
+        BoundName.BERTA_TWO: (hc[:, :-1] + hc[:, 1:], s_ab[:, None] + pairs),
+    }
 
 
 def _spot_states(rng: np.random.Generator, d: int, count: int):
@@ -335,35 +368,10 @@ def spot_check_inequalities(chain: MeasurementChain, samples: int = 200, seed: i
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng([seed, 4])
-    d, n = chain.dim, len(chain)
-    bras = _stacked_bras(chain)
-    deutsch, mu = deutsch_multi_bound(chain), mu_multi_bound(chain)
-    pairs = [mu_two_bound(chain[m], chain[m + 1]) for m in range(n - 1)]  # -log2 c(M_m, M_m+1)
-    weighted = weighted_bound(*chain) if n == 3 else None
     worst: dict = {}
     for start in range(0, samples, SPOT_BLOCK):
-        rhos, joints = _spot_states(rng, d, min(SPOT_BLOCK, samples - start))
-        probs = _born_probabilities(bras, rhos).reshape(-1, n, d)
-        hs = _entropy_rows(probs, (1.0,))  # (states, N) Shannon entropies
-        h, s = sum(hs.T), _entropy_rows(_spectra(rhos), (1.0,))
-        beta = _push_weights(chain, probs[:, 0])  # chain weights on the last basis
-        gaps = {
-            BoundName.DEUTSCH_MULTI: sum(_entropy_rows(probs, (math.inf,)).T) - deutsch,
-            BoundName.MU_MULTI: h - (mu + (n - 1) * s),
-            BoundName.STATE_DEPENDENT: h - _state_dependent(chain, rhos, beta, s),
-            BoundName.SCB_MAX: h - _scb_max(chain.overlaps, s),
-            BoundName.MU_TWO: hs[:, 0] + hs[:, 1] - (pairs[0] + s),
-        }
-        if n == 3:
-            lhs = sum(w * hm for w, hm in zip(WEIGHTED_WEIGHTS, hs.T))
-            gaps[BoundName.WEIGHTED] = lhs - (weighted + 2.0 * s)
-
-        s_ab, hc = _memory_entropies(joints, d, d, bras)
-        hc_sum = sum(hc.T)
-        gaps[BoundName.MEMORY_MULTI] = hc_sum - (mu + (n - 1) * s_ab)
-        gaps[BoundName.MEMORY_PURE] = (hc_sum - (mu + s_ab))[0::2]  # the pure joint draws
-        berta = [hc[:, m] + hc[:, m + 1] - (s_ab + pairs[m]) for m in range(n - 1)]
-        gaps[BoundName.BERTA_TWO] = np.array(berta)
-        for name, gap in gaps.items():
+        rhos, joints = _spot_states(rng, chain.dim, min(SPOT_BLOCK, samples - start))
+        for name, (lhs, bound) in {**_state_gaps(chain, rhos), **_memory_gaps(chain, joints, chain.dim)}.items():
+            gap = (lhs - bound)[0::2] if name is BoundName.MEMORY_PURE else lhs - bound  # pure joints only
             worst[name] = min(worst.get(name, math.inf), float(gap.min()))
     return worst

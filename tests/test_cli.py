@@ -32,9 +32,11 @@ def mub_pair_file(tmp_path):
     return str(path)
 
 
-# mub_set(dim) file, verify arguments after --mode, stdout lines: the benchmark's two calls
+# (dim, count) of a mub_set file, verify arguments, stdout lines.  "state" and "memory" are the
+# benchmark's two calls; the others pin a WEIGHTED slack, a DEUTSCH_MULTI slack and a d_B = 3
+# memory run.
 GOLDEN_VERIFY = {
-    "state": (3, ["--seed", "1"], [
+    "state": ((3, None), ["--mode", "state", "--seed", "1"], [
         "objective_min = 4",
         "converged restarts: 64/64",
         "slack MU_MULTI         2.415e+00",
@@ -50,7 +52,7 @@ GOLDEN_VERIFY = {
         "spot  BERTA_TWO        2.042e-02",
         "CERTIFIED",
     ]),
-    "memory": (2, ["--dim-b", "2", "--restarts", "16", "--seed", "1"], [
+    "memory": ((2, None), ["--mode", "memory", "--dim-b", "2", "--restarts", "16", "--seed", "1"], [
         "objective_min = -1.33226762955e-15",
         "converged restarts: 16/16",
         "slack MEMORY_MULTI     2.850e-01",
@@ -64,6 +66,53 @@ GOLDEN_VERIFY = {
         "spot  MEMORY_MULTI     2.145e-01",
         "spot  MEMORY_PURE      1.674e-02",
         "spot  BERTA_TWO        8.670e-05",
+        "CERTIFIED",
+    ]),
+    "state-weighted": ((2, None), ["--mode", "state", "--restarts", "16", "--seed", "1"], [
+        "objective_min = 2",
+        "converged restarts: 16/16",
+        "slack MU_MULTI         1.000e+00",
+        "slack SCB_MAX          5.000e-01",
+        "slack STATE_DEPENDENT  1.000e+00",
+        "slack WEIGHTED         -8.882e-16",
+        "spot  DEUTSCH_MULTI    3.432e-01",
+        "spot  MU_MULTI         7.460e-02",
+        "spot  STATE_DEPENDENT  7.460e-02",
+        "spot  SCB_MAX          3.764e-02",
+        "spot  MU_TWO           1.962e-03",
+        "spot  WEIGHTED         6.281e-03",
+        "spot  MEMORY_MULTI     2.145e-01",
+        "spot  MEMORY_PURE      1.674e-02",
+        "spot  BERTA_TWO        8.670e-05",
+        "CERTIFIED",
+    ]),
+    "state-min": ((3, None), ["--mode", "state", "--orders", "min", "--restarts", "16", "--seed", "1"], [
+        "objective_min = 2.45374709537",
+        "converged restarts: 16/16",
+        "slack DEUTSCH_MULTI    1.084e+00",
+        "spot  DEUTSCH_MULTI    1.111e+00",
+        "spot  MU_MULTI         3.422e-01",
+        "spot  STATE_DEPENDENT  3.422e-01",
+        "spot  SCB_MAX          1.743e-01",
+        "spot  MU_TWO           4.720e-02",
+        "spot  MEMORY_MULTI     1.059e+00",
+        "spot  MEMORY_PURE      3.441e-01",
+        "spot  BERTA_TWO        2.042e-02",
+        "CERTIFIED",
+    ]),
+    "memory-dim-b-3": ((2, 2), ["--mode", "memory", "--dim-b", "3", "--restarts", "8", "--seed", "1"], [
+        "objective_min = -4.4408920985e-16",
+        "converged restarts: 8/8",
+        "slack MEMORY_MULTI     -6.661e-16",
+        "slack MEMORY_PURE      -6.661e-16",
+        "spot  DEUTSCH_MULTI    1.396e-03",
+        "spot  MU_MULTI         1.962e-03",
+        "spot  STATE_DEPENDENT  1.962e-03",
+        "spot  SCB_MAX          1.962e-03",
+        "spot  MU_TWO           1.962e-03",
+        "spot  MEMORY_MULTI     1.375e-04",
+        "spot  MEMORY_PURE      1.375e-04",
+        "spot  BERTA_TWO        1.375e-04",
         "CERTIFIED",
     ]),
 }
@@ -286,6 +335,17 @@ class TestScan:
             assert capsys.readouterr().err.splitlines() == [f"error: parameter a must lie in [0, 1], got {first_bad}"]
             assert not out.exists()
 
+    def test_negative_range_start_takes_the_equals_form(self, tmp_path):
+        """argparse reads the START:STOP of ``--range -1:1`` as an option; ``--range=-1:1`` scans it."""
+        out = tmp_path / "x.csv"
+        argv = [
+            "scan", "--family", "paper-d3", "--param", "phi",
+            "--range=-1:1", "--steps", "3", "--a", "0.4", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        names = list(SCAN_ORACLE)
+        assert out.read_text() == scan_csv(names, loop_scan_rows(np.full(3, 0.4), np.array([-1.0, 0.0, 1.0]), names))
+
     def test_single_step_is_the_range_start(self, tmp_path):
         out = tmp_path / "x.csv"
         argv = [
@@ -493,12 +553,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("mode", sorted(GOLDEN_VERIFY))
     def test_benchmark_calls_print_pinned_output(self, tmp_path, capsys, mode):
-        """The benchmark's two verify calls print these lines.  A value printed below 1e-12 in
-        magnitude is rounding noise at an exact zero and only has to stay below 1e-12."""
-        dim, argv, expected = GOLDEN_VERIFY[mode]
+        """The benchmark's two verify calls, and three more, print these lines.  A value printed
+        below 1e-12 in magnitude is rounding noise at an exact zero and only has to stay below 1e-12."""
+        (dim, count), argv, expected = GOLDEN_VERIFY[mode]
         path = tmp_path / "chain.json"
-        write_measurement_set(path, eur.mub_set(dim))
-        assert main(["verify", "--input", str(path), "--mode", mode, *argv]) == 0
+        write_measurement_set(path, eur.mub_set(dim, count))
+        assert main(["verify", "--input", str(path), *argv]) == 0
         got = capsys.readouterr().out.splitlines()
         assert len(got) == len(expected)
         for line, want in zip(got, expected):

@@ -229,6 +229,25 @@ class TestMinimizeEntropySum:
         result = eur.minimize_entropy_sum(chain, config=eur.MinimizationConfig(restarts=8))
         assert all(s >= -1e-6 for s in result.slack_per_bound.values())
 
+    @pytest.mark.parametrize("chain", [mub_chain(2, 2), mub_chain(3, 3), random_chain(3, 4, seed=2)])
+    @pytest.mark.parametrize("orders", [1.0, math.inf])
+    def test_slacks_are_the_public_bounds_at_the_minimizer(self, chain, orders):
+        """Each slack is objective_min minus the validated bound at the minimizer's projector.
+        WEIGHTED (N = 3) is taken at the minimizer of its own search, which the result does not hold."""
+        result = eur.minimize_entropy_sum(chain, orders, config=eur.MinimizationConfig(restarts=4, seed=2))
+        rho = result.minimizer.projector()
+        public = {
+            BoundName.MU_MULTI: eur.mu_multi_bound_with_state(chain, rho),
+            BoundName.SCB_MAX: eur.scb_max_bound(chain, rho),
+            BoundName.STATE_DEPENDENT: eur.state_dependent_bound(chain, rho),
+        } if orders == 1.0 else {BoundName.DEUTSCH_MULTI: eur.deutsch_multi_bound(chain)}
+        slacks = dict(result.slack_per_bound)
+        if orders == 1.0 and len(chain) == 3:
+            assert slacks.pop(BoundName.WEIGHTED) >= -1e-9
+        assert list(slacks) == list(public)
+        for name, bound in public.items():
+            assert abs(slacks[name] - (result.objective_min - bound)) <= 1e-12, name
+
 
 class TestMinimizeConditionalEntropySum:
     def test_qubit_mub_pair_with_memory(self):
@@ -265,6 +284,14 @@ class TestMinimizeConditionalEntropySum:
         assert result.converged_restarts >= 1
         assert result.certified
         assert result.objective_min == pytest.approx(1.47044487748, abs=1e-9)
+
+    def test_unconverged_restarts_resume(self):
+        """Over 14 angles none of these 4 restarts converges within one run's budget; resumed
+        from where they stopped, all of them converge and the result certifies."""
+        chain = eur.MeasurementChain(tuple(eur.random_basis(4, 11 + k) for k in range(2)))
+        result = eur.minimize_conditional_entropy_sum(chain, 2, eur.MinimizationConfig(restarts=4, seed=0))
+        assert result.converged_restarts == 4
+        assert result.certified
 
 
 def rosenbrock(x):
@@ -392,7 +419,8 @@ def test_memory_minimum_never_above_scipy(dim_a, dim_b):
 
 
 class TestOptimizerHook:
-    """``_nelder_mead`` is the one optimizer entry point: one batched run per multistart."""
+    """``_nelder_mead`` is the one optimizer entry point: one batched run per multistart, and one
+    more per pass over the restarts that have not converged."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -438,6 +466,25 @@ class TestOptimizerHook:
         for dim_b in (2, 4):
             eur.minimize_conditional_entropy_sum(mub_chain(2, 2), dim_b=dim_b, config=cfg)
         assert budgets == [(6, 2000), (14, 2800)]
+
+    def test_passes_resume_only_the_unconverged_restarts(self, monkeypatch):
+        """Each pass runs the restarts not yet converged from the points where the last pass left
+        them, for at most RESTART_PASSES passes; a restart converged in any pass counts."""
+        starts = []
+
+        def first_row_converges(objective, x0, max_iterations):
+            starts.append(x0.copy())
+            success = np.arange(len(x0)) == 0
+            return x0 + 1.0, np.full(len(x0), -float(len(starts))), np.ones(len(x0), int), success
+
+        monkeypatch.setattr(verifier, "_nelder_mead", first_row_converges)
+        restarts = verifier.RESTART_PASSES + 1
+        result = eur.minimize_entropy_sum(mub_chain(2, 2), config=eur.MinimizationConfig(restarts=restarts))
+        assert [len(x0) for x0 in starts] == list(range(restarts, 1, -1))
+        for before, after in zip(starts, starts[1:]):
+            np.testing.assert_array_equal(after, before[1:] + 1.0)
+        assert result.converged_restarts == restarts - 1
+        assert result.objective_min == -verifier.RESTART_PASSES
 
     def test_no_scipy_hook(self):
         assert not hasattr(verifier, "minimize")
