@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -142,7 +143,22 @@ def cmd_verify(args) -> int:
     return 1
 
 
+# generate flag -> the kinds that read it; any other kind rejects it
+_GENERATE_FLAGS = {
+    "dim": ("mub", "random"),
+    "count": ("mub", "random"),
+    "a": ("paper-d3",),
+    "phi": ("paper-d3",),
+    "seed": ("random",),
+}
+
+
 def cmd_generate(args) -> int:
+    for flag, kinds in _GENERATE_FLAGS.items():
+        if getattr(args, flag) is not None and args.kind not in kinds:
+            raise ValueError(f"--{flag} applies to --kind {' or '.join(kinds)} only")
+    if args.count is not None and args.count < 1:
+        raise ValueError(f"--count must be positive, got {args.count}")
     if args.kind == "mub":
         if args.dim is None:
             raise ValueError("--kind mub requires --dim")
@@ -154,9 +170,10 @@ def cmd_generate(args) -> int:
     else:
         if args.dim is None:
             raise ValueError("--kind random requires --dim")
-        _check_seed(args.seed)
+        seed = 0 if args.seed is None else args.seed
+        _check_seed(seed)
         count = args.count if args.count is not None else 3
-        bases = [random_basis(args.dim, args.seed + k) for k in range(count)]
+        bases = [random_basis(args.dim, seed + k) for k in range(count)]
     write_measurement_set(args.out, bases)
     print(f"wrote {len(bases)} bases (dim {bases[0].dim}) -> {args.out}")
     return 0
@@ -203,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--count", type=int, default=None)
     p_gen.add_argument("--a", type=float, default=None)
     p_gen.add_argument("--phi", type=float, default=None)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, default=None)  # random only; None is 0
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -219,5 +236,29 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Entry point of the ``eur`` command: ``main()``, then exit without interpreter teardown.
+
+    The process is about to die, so finalizing every loaded module (numpy's included) is
+    wasted work: after flushing stdout and stderr, ``os._exit`` ends it at once.  The normal
+    shutdown runs instead wherever it still has work to do: under a tracer or a profiler
+    (coverage, pdb, cProfile report at exit), in an interactive session, for a non-integer
+    exit code, and when a flush fails, so that a closed pipe or a full disk is reported
+    exactly as before.  Exceptions other than ``SystemExit`` propagate unchanged.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    if not isinstance(code, int) or sys.gettrace() or sys.getprofile() or sys.flags.inspect:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -176,6 +176,32 @@ class TestGenerate:
         assert capsys.readouterr().err == "error: --seed must be non-negative, got -3\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kind", "paper-d3", "--a", "0.5", "--phi", "0", "--dim", "7"], "--dim applies to --kind mub or random only"),
+            (["--kind", "paper-d3", "--a", "0.5", "--phi", "0", "--count", "9"],
+             "--count applies to --kind mub or random only"),
+            (["--kind", "paper-d3", "--a", "0.5", "--phi", "0", "--seed", "3"], "--seed applies to --kind random only"),
+            (["--kind", "mub", "--dim", "3", "--seed", "0"], "--seed applies to --kind random only"),
+            (["--kind", "mub", "--dim", "3", "--a", "0.5"], "--a applies to --kind paper-d3 only"),
+            (["--kind", "random", "--dim", "3", "--phi", "0"], "--phi applies to --kind paper-d3 only"),
+            (["--kind", "random", "--dim", "3", "--count=0"], "--count must be positive, got 0"),
+            (["--kind", "mub", "--dim", "3", "--count=-1"], "--count must be positive, got -1"),
+        ],
+    )
+    def test_flags_its_kind_does_not_read_are_rejected(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.json"
+        assert main(["generate", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_random_seed_defaults_to_zero(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        main(["generate", "--kind", "random", "--dim", "3", "--out", str(a)])
+        main(["generate", "--kind", "random", "--dim", "3", "--seed", "0", "--out", str(b)])
+        assert a.read_text() == b.read_text()
+
     def test_random_seeded_reproducibly(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["generate", "--kind", "random", "--dim", "3", "--seed", "9", "--out", str(a)])
@@ -596,21 +622,26 @@ class TestParser:
             )
 
 
-def _python(code, *args):
-    """Run ``code`` with ``args`` in a fresh interpreter that imports ``eur`` from this checkout."""
+def _child(*args):
+    """Run a fresh interpreter with ``args``, importing ``eur`` from this checkout."""
     src = str(Path(eur.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def _python(code, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports ``eur`` from this checkout."""
+    return _child("-c", code, *args)
 
 
 def test_malformed_files_exit_2_without_traceback(tmp_path):
-    """Every malformed input ends the process with one error line and exit code 2."""
+    """Every malformed input ends ``python -m eur.cli`` with one error line and exit code 2."""
     good = tmp_path / "good.json"
     write_measurement_set(good, eur.mub_set(2, 2))
     for name in sorted(MALFORMED_FILES):
         path = write_malformed(tmp_path, name)
         argv = ["--input", path] if MALFORMED_FILES[name][0] == "set" else ["--input", str(good), "--state", path]
-        proc = _python("import sys; from eur.cli import main; sys.exit(main(sys.argv[1:]))", "bounds", *argv)
+        proc = _child("-m", "eur.cli", "bounds", *argv)
         assert proc.returncode == 2, (name, proc.stderr)
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr, (name, proc.stderr)
