@@ -14,11 +14,14 @@ step and a closing step, which the fixed-order bound folds along the input
 order and the ``*_best_order`` variants run through one search over index
 orders, sharing prefixes: each first pair's orders grow level by level as one
 batch, so its frontier of at most (N - 2)! prefixes takes each step in one
-call; ``eur scan`` runs the same steps on a stack of banks.  The remaining
-functions cover the two-measurement specializations, a max-of-pairwise-sums
-construction (SCB), a weighted three-measurement bound, the fully
-state-dependent relative-entropy form, and the quantum-memory versions
-conditioned on side information.
+call; ``eur scan`` runs the same steps on a stack of banks.  The other
+bounds (two-measurement, max-of-pairwise-sums SCB, weighted three-measurement,
+state-dependent and quantum-memory forms) also add a state term in S(rho) or
+S(A|B) to a constant of the bank, for two measurements a pair term
+-log2 c(M_i, M_j) (``_pair_bounds``).  The gap kernels ``_state_gaps`` and
+``_memory_gaps`` give every bound's left-hand side and value on a stack of
+states, from one product for the outcome distributions and one stacked
+eigendecomposition per kind of state.
 """
 
 from __future__ import annotations
@@ -35,14 +38,17 @@ from .core import (
     DensityMatrix,
     MeasurementBasis,
     MeasurementChain,
+    _born_probabilities,
     _mixture,
+    _stacked_bras,
     max_overlap,
     outcome_distribution,
     overlap_table,
 )
-from .entropy import _relative_entropies, conditional_entropy, von_neumann_entropy
+from .entropy import _entropy_rows, _memory_entropies, _relative_entropies, conditional_entropy, von_neumann_entropy
 
 PURITY_TOL = 1e-9  # tr(rho^2) must exceed 1 - PURITY_TOL for pure-state-only bounds
+WEIGHTED_WEIGHTS = (1.0, 1.0, 2.0)  # H(u) + H(v) + 2 H(w), the WEIGHTED bound's entropy sum
 
 
 class BoundName(str, Enum):
@@ -226,19 +232,26 @@ def weighted_bound(
 
     The doubled basis ``w`` mediates between the other two.
     """
-    uw = overlap_table(u, w)
-    wv = overlap_table(w, v)
-    m = float((uw.max(axis=0) * wv.max(axis=1)).max())
-    return float(_neg_log2(m)) + 2.0 * _state_entropy(u.dim, rho, "basis")
+    return _weighted(overlap_table(u, w), overlap_table(w, v)) + 2.0 * _state_entropy(u.dim, rho, "basis")
+
+
+def _weighted(uw: np.ndarray, wv: np.ndarray) -> float:
+    """-log2 max_{i,j,k} c(u_i, w_k) c(w_k, v_j) from the tables c(u, w) and c(w, v)."""
+    return float(_neg_log2((uw.max(axis=0) * wv.max(axis=1)).max()))
+
+
+def _pair_bounds(bank: np.ndarray) -> np.ndarray:
+    """-log2 c(M_i, M_j) of every chain of a (..., N, N, d, d) bank, as a (..., N, N) array."""
+    return _neg_log2(_max_trailing(bank, 2))
 
 
 def _scb_max(bank: np.ndarray, s=0.0):
     """:func:`scb_max_bound` of every chain of a (..., N, N, d, d) bank at state entropy ``s``, a
     number or an array that broadcasts against the leading axes: the best pair term
     max_{i<j} -log2 c(M_i, M_j) + s against the input-order cycle term (none for N = 2)."""
-    n, c = bank.shape[-3], _max_trailing(bank, 2)
-    pair = np.max([_neg_log2(c[..., i, j]) for i in range(n) for j in range(i + 1, n)], axis=0)
-    cycle = 0.5 * sum(-np.log2(c[..., m, (m + 1) % n]) for m in range(n)) + 0.0 if n >= 3 else -math.inf
+    n, p = bank.shape[-3], _pair_bounds(bank)
+    pair = np.max([p[..., i, j] for i in range(n) for j in range(i + 1, n)], axis=0)
+    cycle = 0.5 * sum(p[..., m, (m + 1) % n] for m in range(n)) if n >= 3 else -math.inf
     return np.maximum(pair + s, cycle + 0.5 * n * s)
 
 
@@ -303,6 +316,41 @@ def memory_pure_bound(chain: MeasurementChain, rho: BipartiteState) -> float:
     if purity <= 1.0 - PURITY_TOL:
         raise ValueError(f"memory_pure_bound requires a pure joint state, got tr(rho^2) = {purity:.6f}")
     return mu_multi_bound(chain) + s
+
+
+def _state_gaps(chain: MeasurementChain, rhos: np.ndarray) -> dict:
+    """{bound: (left-hand side, bound value)} of every state-mode bound on each density matrix of
+    the (k, d, d) stack ``rhos``, as (k,) arrays.  No validation."""
+    n, bank = len(chain), chain.overlaps
+    probs = _born_probabilities(_stacked_bras(chain), rhos).reshape(-1, n, chain.dim)
+    hs, h_min = _entropy_rows(probs, (1.0,)), sum(_entropy_rows(probs, (math.inf,)).T)  # hs: (k, N)
+    h, s = sum(hs.T), _entropy_rows(np.linalg.eigvalsh(rhos), (1.0,))
+    beta = _push_weights(chain, probs[:, 0])  # chain weights on the last basis
+    gaps = {
+        BoundName.DEUTSCH_MULTI: (h_min, np.full_like(s, deutsch_multi_bound(chain))),
+        BoundName.MU_MULTI: (h, mu_multi_bound(chain) + (n - 1) * s),
+        BoundName.STATE_DEPENDENT: (h, _state_dependent(chain, rhos, beta, s)),
+        BoundName.SCB_MAX: (h, _scb_max(bank, s)),
+        BoundName.MU_TWO: (hs[:, 0] + hs[:, 1], _pair_bounds(bank)[0, 1] + s),
+    }
+    if n == 3:
+        lhs = sum(w * hm for w, hm in zip(WEIGHTED_WEIGHTS, hs.T))
+        gaps[BoundName.WEIGHTED] = (lhs, _weighted(bank[0, 2], bank[2, 1]) + 2.0 * s)
+    return gaps
+
+
+def _memory_gaps(chain: MeasurementChain, joints: np.ndarray, dim_b: int) -> dict:
+    """{bound: (left-hand side, bound value)} of every memory bound on each joint matrix of the
+    (k, d d_B, d d_B) stack ``joints``, A measured by the chain.  BERTA_TWO's arrays are (k, N - 1),
+    a column per consecutive pair; MEMORY_PURE holds only on pure joint states.  No validation."""
+    n = len(chain)
+    s_ab, hc = _memory_entropies(joints, chain.dim, dim_b, _stacked_bras(chain))
+    hc_sum, mu = sum(hc.T), mu_multi_bound(chain)
+    return {
+        BoundName.MEMORY_MULTI: (hc_sum, mu + (n - 1) * s_ab),
+        BoundName.MEMORY_PURE: (hc_sum, mu + s_ab),
+        BoundName.BERTA_TWO: (hc[:, :-1] + hc[:, 1:], s_ab[:, None] + np.diagonal(_pair_bounds(chain.overlaps), 1)),
+    }
 
 
 def deutsch_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tuple[int, ...]]:

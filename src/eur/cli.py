@@ -84,6 +84,8 @@ def cmd_scan(args) -> int:
     for name in requested:
         if name not in SCAN_BOUNDS:
             raise ValueError(f"unknown bound name {name!r}; choose from {sorted(SCAN_BOUNDS)}")
+        if requested.count(name) > 1:
+            raise ValueError(f"bound {name!r} requested twice")
     lo, hi = _parse_range(args.range)
     if args.steps < 1:
         raise ValueError(f"steps must be >= 1, got {args.steps}")

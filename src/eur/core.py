@@ -18,7 +18,7 @@ NORM_TOL = 1e-10          # |sum |a_k|^2 - 1| for pure states / basis rows
 ORTHO_TOL = 1e-9          # |<u_i|u_j>| for i != j
 HERMITIAN_TOL = 1e-10     # max |M - M^dagger|
 TRACE_TOL = 1e-10         # |tr(rho) - 1|
-EIGENVALUE_FLOOR = -1e-10  # eigenvalues in [floor, 0) clamp to 0; below is an error
+EIGENVALUE_FLOOR = -1e-10  # eigenvalues in [floor, 0) pass, cut to 0 weight by entropy.LOG_CUTOFF; below is an error
 PROB_CLAMP = 1e-12        # outcome probabilities in [-PROB_CLAMP, 0) clamp to 0
 
 
@@ -242,6 +242,11 @@ def _overlap_bank(v: np.ndarray) -> np.ndarray:
 def max_overlap(a: MeasurementBasis, b: MeasurementBasis) -> float:
     """Largest squared overlap c(a, b) = max_{i,j} |<a_i|b_j>|^2."""
     return float(overlap_table(a, b).max())
+
+
+def _stacked_bras(chain: MeasurementChain) -> np.ndarray:
+    """The (N d, d) matrix whose rows are the bras <u_i| of every basis, basis by basis."""
+    return np.concatenate([b.vectors.conj() for b in chain])
 
 
 def _born_probabilities(bras: np.ndarray, mats: np.ndarray) -> np.ndarray:

@@ -89,12 +89,6 @@ def renyi_entropy(p, alpha: float) -> float:
     return float(_entropy_rows(p[None, :], (alpha,))[0])
 
 
-def _spectra(mats: np.ndarray) -> np.ndarray:
-    """Clamped eigenvalues of each Hermitian matrix of the (..., d, d) stack, from one ``eigvalsh``."""
-    vals = np.linalg.eigvalsh(mats)
-    return np.where(vals < 0.0, 0.0, vals)
-
-
 def _relative_entropies(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """S(rho || sigma) for each pair of two (..., d, d) stacks, one ``eigh`` per stack, no validation."""
     p, pv = np.linalg.eigh(rhos)
@@ -119,20 +113,20 @@ def _memory_entropies(joints: np.ndarray, dim_a: int, dim_b: int, bras: np.ndarr
     one ``tensordot`` of the joints with the (N dA, dA, dA) stack of those
     weights, whose only temporary is the joints with a and c moved last.
     """
-    s_b = _entropy_rows(_spectra(_partial_trace_matrix(joints, dim_a, dim_b, "B")), (1.0,))
-    s_a_given_b = _entropy_rows(_spectra(joints), (1.0,)) - s_b
+    s_b = _entropy_rows(np.linalg.eigvalsh(_partial_trace_matrix(joints, dim_a, dim_b, "B")), (1.0,))
+    s_a_given_b = _entropy_rows(np.linalg.eigvalsh(joints), (1.0,)) - s_b
     if bras is None:
         return s_a_given_b
     r = joints.reshape(joints.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     w = bras[:, :, None] * bras.conj()[:, None, :]  # w[i, a, c] = <u_i|a><c|u_i>
     blocks = np.moveaxis(np.tensordot(r, w, axes=([-4, -2], [1, 2])), -1, -3)
-    vals = _spectra(blocks).reshape(blocks.shape[:-3] + (-1, dim_a * dim_b))
+    vals = np.linalg.eigvalsh(blocks).reshape(blocks.shape[:-3] + (-1, dim_a * dim_b))
     return s_a_given_b, _entropy_rows(vals, (1.0,)) - s_b[..., None]
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -tr(rho log2 rho) from the clamped eigenvalue spectrum."""
-    return _plogp_sum(_spectra(rho.matrix))
+    """S(rho) = -tr(rho log2 rho) from the ``eigvalsh`` spectrum, entries at or below ``LOG_CUTOFF`` as 0."""
+    return _plogp_sum(np.linalg.eigvalsh(rho.matrix))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -27,11 +27,9 @@ memory-mode objective builds no state objects: for a pure joint state
 H(M|B) = H(M) - S(rho_B), with S(rho_B) from the ``eigvalsh`` spectrum of the
 smaller Gram matrix of the amplitude matrix.
 
-Every bound's left-hand side and value on a stack of states come from one of
-two gap kernels, ``_state_gaps`` and ``_memory_gaps``: one product for the
-outcome distributions and one stacked eigendecomposition per kind of state.
 The spot checks (drawn and evaluated a block at a time), memory mode's mixed
-samples and the minimizers' slacks all read from them.
+samples and the minimizers' slacks read every bound's left-hand side and value
+from the gap kernels ``bounds._state_gaps`` and ``bounds._memory_gaps``.
 """
 
 from __future__ import annotations
@@ -41,19 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    BoundName,
-    _push_weights,
-    _scb_max,
-    _state_dependent,
-    deutsch_multi_bound,
-    mu_multi_bound,
-    mu_two_bound,
-    weighted_bound,
-)
-from .core import BipartiteState, DensityMatrix, MeasurementChain, PureState, outcome_distribution
-from .core import _born_probabilities
-from .entropy import _entropy_rows, _memory_entropies, _spectra, renyi_entropy
+from .bounds import WEIGHTED_WEIGHTS, BoundName, _memory_gaps, _state_gaps
+from .core import BipartiteState, DensityMatrix, MeasurementChain, PureState, _stacked_bras, outcome_distribution
+from .entropy import _entropy_rows, renyi_entropy
 from .generators import _gaussian_gram, _unit_trace
 from .neldermead import _nelder_mead
 
@@ -61,7 +49,6 @@ CERTIFICATION_TOL = 1e-6
 MIXED_SPOT_SAMPLES = 50
 RESTART_PASSES = 5  # Nelder-Mead runs per restart at most: the first, then resumptions of the unconverged
 SPOT_BLOCK = 64  # spot-check rounds evaluated together; caps the size of the batch arrays
-WEIGHTED_WEIGHTS = (1.0, 1.0, 2.0)  # H(u) + H(v) + 2 H(w), the WEIGHTED bound's entropy sum
 
 
 @dataclass(frozen=True)
@@ -191,11 +178,6 @@ def entropy_sum(chain: MeasurementChain, rho: DensityMatrix, orders=1.0) -> floa
     return sum(renyi_entropy(outcome_distribution(b, rho), a) for b, a in zip(chain, ords))
 
 
-def _stacked_bras(chain: MeasurementChain) -> np.ndarray:
-    """The (N d, d) matrix whose rows are the bras <u_i| of every basis, basis by basis."""
-    return np.concatenate([b.vectors.conj() for b in chain])
-
-
 def _pure_objective(chain: MeasurementChain, ords: list[float], weights: list[float]):
     """Weighted entropy sum sum_m weights[m] H_{ords[m]}(M_m) as a function of the state angles.
 
@@ -296,43 +278,6 @@ def minimize_conditional_entropy_sum(
     slacks = {BoundName.MEMORY_MULTI: min(value - float(bound[0]), float((lhs - bound)[1:].min())),
               BoundName.MEMORY_PURE: value - float(gaps[BoundName.MEMORY_PURE][1][0])}
     return VerificationResult(value, rho_best, slacks, converged)
-
-
-def _state_gaps(chain: MeasurementChain, rhos: np.ndarray) -> dict:
-    """{bound: (left-hand side, bound value)} of every state-mode bound on each density matrix of
-    the (k, d, d) stack ``rhos``, as (k,) arrays: one product gives every outcome distribution and
-    one ``eigvalsh`` every S(rho).  No validation."""
-    n = len(chain)
-    probs = _born_probabilities(_stacked_bras(chain), rhos).reshape(-1, n, chain.dim)
-    hs, h_min = _entropy_rows(probs, (1.0,)), sum(_entropy_rows(probs, (math.inf,)).T)  # hs: (k, N)
-    h, s = sum(hs.T), _entropy_rows(_spectra(rhos), (1.0,))
-    beta = _push_weights(chain, probs[:, 0])  # chain weights on the last basis
-    gaps = {
-        BoundName.DEUTSCH_MULTI: (h_min, np.full_like(s, deutsch_multi_bound(chain))),
-        BoundName.MU_MULTI: (h, mu_multi_bound(chain) + (n - 1) * s),
-        BoundName.STATE_DEPENDENT: (h, _state_dependent(chain, rhos, beta, s)),
-        BoundName.SCB_MAX: (h, _scb_max(chain.overlaps, s)),
-        BoundName.MU_TWO: (hs[:, 0] + hs[:, 1], mu_two_bound(chain[0], chain[1]) + s),
-    }
-    if n == 3:
-        lhs = sum(w * hm for w, hm in zip(WEIGHTED_WEIGHTS, hs.T))
-        gaps[BoundName.WEIGHTED] = (lhs, weighted_bound(*chain) + 2.0 * s)
-    return gaps
-
-
-def _memory_gaps(chain: MeasurementChain, joints: np.ndarray, dim_b: int) -> dict:
-    """{bound: (left-hand side, bound value)} of every memory bound on each joint matrix of the
-    (k, d d_B, d d_B) stack ``joints``, A measured by the chain.  BERTA_TWO's arrays are (k, N - 1),
-    a column per consecutive pair; MEMORY_PURE holds only on pure joint states.  No validation."""
-    n = len(chain)
-    s_ab, hc = _memory_entropies(joints, chain.dim, dim_b, _stacked_bras(chain))
-    hc_sum, mu = sum(hc.T), mu_multi_bound(chain)
-    pairs = np.array([mu_two_bound(chain[m], chain[m + 1]) for m in range(n - 1)])  # -log2 c(M_m, M_m+1)
-    return {
-        BoundName.MEMORY_MULTI: (hc_sum, mu + (n - 1) * s_ab),
-        BoundName.MEMORY_PURE: (hc_sum, mu + s_ab),
-        BoundName.BERTA_TWO: (hc[:, :-1] + hc[:, 1:], s_ab[:, None] + pairs),
-    }
 
 
 def _spot_states(rng: np.random.Generator, d: int, count: int):

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import eur
-from eur.bounds import BoundName
+from eur.bounds import BoundName, _pair_bounds, _weighted
 from eur.core import DensityMatrix, MeasurementChain, PureState
 from helpers import (
     _distinct_cyclic_orders,
@@ -164,6 +164,23 @@ class TestWeighted:
                 + 2.0 * eur.shannon_entropy(eur.outcome_distribution(w, rho))
             )
             assert lhs >= eur.weighted_bound(u, v, w, rho) - 1e-9
+
+
+class TestPairBounds:
+    @pytest.mark.parametrize(
+        "chain",
+        [random_chain(d, n, seed=10 * d + n) for d in range(1, 6) for n in range(2, 6)]
+        + [mub_chain(d, d + 1) for d in (2, 3, 5)] + [mub_chain(2, 2)],
+    )
+    def test_bank_terms_are_the_public_bounds_bit_for_bit(self, chain):
+        """The bank's pair terms, and WEIGHTED from the bank's tables, equal the two- and
+        three-basis bounds, which build their own tables."""
+        bank, n = chain.overlaps, len(chain)
+        pairs = _pair_bounds(bank)
+        for i, j in permutations(range(n), 2):
+            assert pairs[i, j] == eur.mu_two_bound(chain[i], chain[j]), (i, j)
+        if n == 3:
+            assert _weighted(bank[0, 2], bank[2, 1]) == eur.weighted_bound(*chain)
 
 
 class TestScbMax:

@@ -313,6 +313,12 @@ class TestScan:
         assert rc == 2
         assert "unknown bound" in capsys.readouterr().err
 
+    def test_repeated_bound_name(self, tmp_path, capsys):
+        rc = self.run_scan(tmp_path / "x.csv", ["--bounds", "mu-multi,scb-max,mu-multi"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: bound 'mu-multi' requested twice\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_range(self, tmp_path, capsys):
         rc = main(
             [

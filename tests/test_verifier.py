@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import eur
 from eur import verifier
 from eur.bounds import BoundName
-from eur.core import PureState
+from eur.core import PureState, overlap_table
 from eur.verifier import (
     SPOT_BLOCK,
     WEIGHTED_WEIGHTS,
@@ -595,6 +595,26 @@ class TestSpotCheck:
             eur.spot_check_inequalities(chain, samples=samples, seed=3)
             per_call.append(counts["calls"])
         assert per_call[0] == per_call[1] > 0
+
+
+@pytest.mark.parametrize("chain", [mub_chain(2, 3), random_chain(2, 4, seed=7)], ids=["N3", "N4"])
+def test_verify_paths_build_no_overlap_table(chain, monkeypatch):
+    """The spot checks and both minimizers take every chain term from the chain's bank: once
+    ``chain.overlaps`` is built, no overlap table is computed again."""
+    chain.overlaps
+    calls = {"n": 0}
+
+    def counting(a, b):
+        calls["n"] += 1
+        return overlap_table(a, b)
+
+    monkeypatch.setattr(eur.core, "overlap_table", counting)
+    monkeypatch.setattr(eur.bounds, "overlap_table", counting)
+    config = eur.MinimizationConfig(restarts=4, seed=0)
+    eur.spot_check_inequalities(chain, samples=8, seed=0)
+    eur.minimize_entropy_sum(chain, 1.0, config)
+    eur.minimize_conditional_entropy_sum(chain, 2, config)
+    assert calls["n"] == 0
 
 
 class TestMinimizationConfig:
