@@ -27,7 +27,6 @@ eigendecomposition per kind of state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
 
@@ -38,6 +37,7 @@ from .core import (
     DensityMatrix,
     MeasurementBasis,
     MeasurementChain,
+    _Record,
     _born_probabilities,
     _mixture,
     _stacked_bras,
@@ -63,12 +63,10 @@ class BoundName(str, Enum):
     STATE_DEPENDENT = "STATE_DEPENDENT"
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    bound_name: BoundName
-    value: float
-    state_dependent: bool
-    chain_order: tuple[int, ...]
+class BoundReport(_Record):
+    def __init__(self, bound_name: BoundName, value: float, state_dependent: bool, chain_order: tuple[int, ...]):
+        super().__init__(bound_name=bound_name, value=value, state_dependent=state_dependent,
+                         chain_order=chain_order)
 
 
 def _neg_log2(x):
@@ -410,13 +408,11 @@ def build_reports(
 
     m_val, m_order = searched(mu_multi_bound_best_order, mu_multi_bound)
     reports.append(BoundReport(BoundName.MU_MULTI, m_val + (n - 1) * s, uses_state, m_order))
-    reports.append(BoundReport(BoundName.SCB_MAX, scb_max_bound(chain, rho), uses_state, identity_order))
+    bank, values = chain.overlaps, {BoundName.SCB_MAX: scb_max_bound(chain, rho)}
     if n == 2:
-        reports.append(BoundReport(BoundName.MU_TWO, mu_two_bound(*chain, rho), uses_state, identity_order))
+        values[BoundName.MU_TWO] = float(_pair_bounds(bank)[0, 1]) + s
     if n == 3:
-        reports.append(BoundReport(BoundName.WEIGHTED, weighted_bound(*chain, rho), uses_state, identity_order))
+        values[BoundName.WEIGHTED] = _weighted(bank[0, 2], bank[2, 1]) + 2.0 * s
     if rho is not None:
-        reports.append(
-            BoundReport(BoundName.STATE_DEPENDENT, state_dependent_bound(chain, rho), True, identity_order)
-        )
-    return reports
+        values[BoundName.STATE_DEPENDENT] = state_dependent_bound(chain, rho)
+    return reports + [BoundReport(name, value, uses_state, identity_order) for name, value in values.items()]

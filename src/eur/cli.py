@@ -1,7 +1,8 @@
 """Command-line interface: bounds, scan, verify, generate.
 
 Exit codes: 0 on success (and certified verification), 1 when verification
-fails, 2 on input errors (bad files, bad parameters, violated invariants).
+fails, 2 on input errors (bad files, bad parameters, violated invariants),
+120 when a write fails (a full disk, a closed pipe).
 """
 
 from __future__ import annotations
@@ -40,10 +41,8 @@ def cmd_bounds(args) -> int:
     chain = read_chain(args.input)
     rho = read_density_matrix(args.state) if args.state else None
     reports = build_reports(chain, rho, orders=args.orders, best_order=args.best_order)
-    if rho is None:
-        print(f"# chain of {len(chain)} bases, dim {chain.dim}; state terms at S(rho) = 0")
-    else:
-        print(f"# chain of {len(chain)} bases, dim {chain.dim}; state loaded from {args.state}")
+    state = "state terms at S(rho) = 0" if rho is None else f"state loaded from {args.state}"
+    print(f"# chain of {len(chain)} bases, dim {chain.dim}; {state}")
     for rep in reports:
         line = f"{rep.bound_name.value:<16} {rep.value:.12g}"
         if args.best_order:
@@ -230,12 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for k in range(len(argv) - 1, 0, -1):  # argparse takes the -1:1 of "--range -1:1" for an option
+        if argv[0] == "scan" and argv[k - 1] == "--range" and argv[k].startswith("-") and ":" in argv[k]:
+            argv[k - 1 : k + 1] = ["--range=" + argv[k]]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # an OSError that names no file is taken for a failed write, not an input error
+        return 120 if isinstance(exc, OSError) and exc.filename is None else 2
 
 
 def run() -> None:

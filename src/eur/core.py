@@ -7,7 +7,6 @@ Vectors are stored as rows: ``basis.vectors[i]`` is the i-th outcome vector.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,22 +50,43 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class PureState:
+class _Frozen:
+    """Base of the containers: fields stored once by ``__init__``, then read-only; equal and hashed by identity."""
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class _Record(_Frozen):
+    """A frozen container equal to another of its class with equal fields, hashed and shown by them."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+class PureState(_Frozen):
     """A normalized state vector."""
 
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
+    def __init__(self, amplitudes):
+        a = np.asarray(amplitudes, dtype=complex)
         if a.ndim != 1 or a.size == 0:
             raise ValueError(f"pure state must be a non-empty 1-D vector, got shape {a.shape}")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-            raise ValueError("pure state contains non-finite entries")
+        _check_finite(a, "pure state")
         norm_err = abs(np.vdot(a, a).real - 1.0)
         if norm_err > NORM_TOL:
             raise ValueError(f"pure state is not normalized: |<psi|psi> - 1| = {norm_err:.3e}")
-        object.__setattr__(self, "amplitudes", _freeze(a))
+        super().__init__(amplitudes=_freeze(a))
 
     @property
     def dim(self) -> int:
@@ -78,15 +98,11 @@ class PureState:
         return DensityMatrix(np.outer(a, a.conj()), validate=False)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(_Frozen):
     """Hermitian, unit-trace, positive-semidefinite matrix."""
 
-    matrix: np.ndarray
-    validate: InitVar[bool] = True
-
-    def __post_init__(self, validate: bool):
-        m = _as_square_matrix(self.matrix, "density matrix")
+    def __init__(self, matrix, validate: bool = True):
+        m = _as_square_matrix(matrix, "density matrix")
         _check_finite(m, "density matrix")
         if validate:
             herm_err = np.abs(m - m.conj().T).max()
@@ -98,7 +114,7 @@ class DensityMatrix:
             low = np.linalg.eigvalsh(m).min()
             if low < EIGENVALUE_FLOOR:
                 raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
-        object.__setattr__(self, "matrix", _freeze(m))
+        super().__init__(matrix=_freeze(m))
 
     @property
     def dim(self) -> int:
@@ -108,43 +124,36 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
+class MeasurementBasis(_Frozen):
     """Orthonormal basis defining a projective measurement.
 
     ``vectors`` is a (dim, dim) array whose rows are the outcome vectors.
     Inputs that fail orthonormality are rejected, never re-orthogonalized.
     """
 
-    vectors: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
+    def __init__(self, vectors, label: str = ""):
         # row-major storage, so a basis and its file round trip give bit-identical products
-        v = np.ascontiguousarray(_as_square_matrix(self.vectors, "basis"))
+        v = np.ascontiguousarray(_as_square_matrix(vectors, "basis"))
         _check_finite(v, "basis")
         _check_gram(_inner(v, v))
-        object.__setattr__(self, "vectors", _freeze(v))
+        super().__init__(vectors=_freeze(v), label=label)
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
 
 
-@dataclass(frozen=True)
-class MeasurementChain:
+class MeasurementChain(_Frozen):
     """An ordered tuple of two or more same-dimension measurement bases."""
 
-    bases: tuple[MeasurementBasis, ...]
-
-    def __post_init__(self):
-        bases = tuple(self.bases)
+    def __init__(self, bases):
+        bases = tuple(bases)
         if len(bases) < 2:
             raise ValueError(f"chain requires N >= 2 bases, got {len(bases)}")
         dims = {b.dim for b in bases}
         if len(dims) != 1:
             raise ValueError(f"chain bases have mismatched dimensions: {sorted(dims)}")
-        object.__setattr__(self, "bases", bases)
+        super().__init__(bases=bases)
 
     @property
     def dim(self) -> int:
@@ -176,21 +185,15 @@ class MeasurementChain:
         return MeasurementChain(tuple(self.bases[i] for i in order))
 
 
-@dataclass(frozen=True)
-class BipartiteState:
+class BipartiteState(_Frozen):
     """Joint state on A (system) tensor B (memory), index (i_A, i_B) -> i_A * dim_b + i_B."""
 
-    joint: DensityMatrix
-    dim_a: int
-    dim_b: int
-
-    def __post_init__(self):
-        if self.dim_a < 1 or self.dim_b < 1:
+    def __init__(self, joint: DensityMatrix, dim_a: int, dim_b: int):
+        if dim_a < 1 or dim_b < 1:
             raise ValueError("subsystem dimensions must be positive")
-        if self.dim_a * self.dim_b != self.joint.dim:
-            raise ValueError(
-                f"dim_a * dim_b = {self.dim_a * self.dim_b} does not match joint dimension {self.joint.dim}"
-            )
+        if dim_a * dim_b != joint.dim:
+            raise ValueError(f"dim_a * dim_b = {dim_a * dim_b} does not match joint dimension {joint.dim}")
+        super().__init__(joint=joint, dim_a=dim_a, dim_b=dim_b)
 
     @property
     def matrix(self) -> np.ndarray:

@@ -35,12 +35,12 @@ from the gap kernels ``bounds._state_gaps`` and ``bounds._memory_gaps``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import WEIGHTED_WEIGHTS, BoundName, _memory_gaps, _state_gaps
-from .core import BipartiteState, DensityMatrix, MeasurementChain, PureState, _stacked_bras, outcome_distribution
+from .core import (BipartiteState, DensityMatrix, MeasurementChain, PureState, _Record, _stacked_bras,
+                   outcome_distribution)
 from .entropy import _entropy_rows, renyi_entropy
 from .generators import _gaussian_gram, _unit_trace
 from .neldermead import _nelder_mead
@@ -51,14 +51,11 @@ RESTART_PASSES = 5  # Nelder-Mead runs per restart at most: the first, then resu
 SPOT_BLOCK = 64  # spot-check rounds evaluated together; caps the size of the batch arrays
 
 
-@dataclass(frozen=True)
-class MinimizationConfig:
-    restarts: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+class MinimizationConfig(_Record):
+    def __init__(self, restarts: int = 64, seed: int = 0):
+        if restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {restarts}")
+        super().__init__(restarts=restarts, seed=seed)
 
 
 def _slacks_hold(slacks: dict) -> bool:
@@ -66,12 +63,10 @@ def _slacks_hold(slacks: dict) -> bool:
     return all(s >= -CERTIFICATION_TOL for s in slacks.values())
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    objective_min: float
-    minimizer: object  # PureState (system mode) or BipartiteState (memory mode)
-    slack_per_bound: dict
-    converged_restarts: int
+class VerificationResult(_Record):
+    def __init__(self, objective_min: float, minimizer, slack_per_bound: dict, converged_restarts: int):
+        super().__init__(objective_min=objective_min, minimizer=minimizer,  # PureState or BipartiteState
+                         slack_per_bound=slack_per_bound, converged_restarts=converged_restarts)
 
     @property
     def certified(self) -> bool:

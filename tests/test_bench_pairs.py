@@ -56,6 +56,37 @@ def test_workloads_are_summarized_apart_and_incomplete_pairs_skipped():
     assert summary["verify-modes wall_s"]["change_lower_pairs"] == 0
 
 
+# ten pairs' parent values: quartiles 0.98, 1.00, 1.02, so a spread q3 - q1 of 0.04
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+FASTER = [p - 0.1 for p in PARENT]
+
+
+@pytest.mark.parametrize("change, shown", [
+    (FASTER, True),
+    (FASTER[:9] + [1.1], True),  # lower in 9 of 10
+    (FASTER[:8] + [1.1, 1.1], False),  # lower in 8 of 10
+    (FASTER[:9] + PARENT[9:], True),  # 9 lower and a tie
+    (FASTER[:8] + PARENT[8:], False),  # 8 lower and two ties: a tie counts for neither side
+    ([p - 0.03 for p in PARENT], False),  # lower in every pair, the median by less than the spread
+    ([p - 0.05 for p in PARENT], True),
+])
+def test_gain_shown_needs_nine_of_ten_pairs_and_a_median_beyond_the_spread(change, shown):
+    assert bench_pairs.gain_shown(PARENT, change) is shown
+
+
+def test_no_gain_is_shown_from_fewer_than_ten_pairs():
+    assert bench_pairs.gain_shown(PARENT, FASTER)
+    assert not bench_pairs.gain_shown(PARENT[:9], FASTER[:9])
+
+
+def test_summary_says_whether_a_gain_is_shown():
+    runs = _runs("bounds-session", [_result(w, 94.0) for w in PARENT], [_result(w, 94.0) for w in FASTER])
+    summary = bench_pairs.summarize(runs)
+    assert summary["bounds-session wall_s"]["change_lower_pairs"] == 10
+    assert summary["bounds-session wall_s"]["gain_shown"] is True
+    assert summary["bounds-session peak_rss_mb"]["gain_shown"] is False  # ten ties
+
+
 def test_reads_the_last_line_and_the_machine_line():
     result = _result(1.25, 90.0)
     stdout = "\n".join([

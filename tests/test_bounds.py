@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import eur
 from eur.bounds import BoundName, _pair_bounds, _weighted
-from eur.core import DensityMatrix, MeasurementChain, PureState
+from eur.core import DensityMatrix, MeasurementChain, PureState, overlap_table
 from helpers import (
     _distinct_cyclic_orders,
     brute_force_chain_weights,
@@ -504,6 +504,23 @@ class TestBuildReports:
         best = {r.bound_name: r for r in eur.build_reports(chain, best_order=True)}
         assert best[BoundName.MU_MULTI].value >= default[BoundName.MU_MULTI].value - 1e-12
         assert sorted(best[BoundName.MU_MULTI].chain_order) == [0, 1, 2]
+
+    @pytest.mark.parametrize("count", [3, 2])
+    def test_builds_no_overlap_table_once_the_bank_is_built(self, count, monkeypatch):
+        """MU_TWO and WEIGHTED take their tables from ``chain.overlaps``, like every other bound."""
+        chain = mub_chain(2, count)
+        chain.overlaps
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return overlap_table(a, b)
+
+        monkeypatch.setattr(eur.core, "overlap_table", counting)
+        monkeypatch.setattr(eur.bounds, "overlap_table", counting)
+        names = [r.bound_name for r in eur.build_reports(chain, MAX_MIXED_2)]
+        assert (BoundName.WEIGHTED if count == 3 else BoundName.MU_TWO) in names
+        assert calls == []
 
     def test_best_order_values_match_reordered_chain(self):
         for seed in range(30):

@@ -249,6 +249,14 @@ class TestBounds:
         assert main(["bounds", "--input", "/nonexistent/chain.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_input_and_unwritable_out_stay_input_errors(self, tmp_path, capsys):
+        """An OSError that names a file is an input error (exit 2), unlike a failed write to stdout."""
+        missing, out = tmp_path / "chain.json", tmp_path / "no-such-dir" / "x.json"
+        assert main(["bounds", "--input", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        assert main(["generate", "--kind", "mub", "--dim", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
     def test_single_basis_file(self, tmp_path, capsys):
         path = tmp_path / "one.json"
         write_measurement_set(path, [eur.computational_basis(2)])
@@ -377,6 +385,23 @@ class TestScan:
         assert main(argv) == 0
         names = list(SCAN_ORACLE)
         assert out.read_text() == scan_csv(names, loop_scan_rows(np.full(3, 0.4), np.array([-1.0, 0.0, 1.0]), names))
+
+    def test_negative_range_start_takes_the_space_form(self, tmp_path, capsys):
+        """``--range -1:1`` scans the same grid, to the byte, as ``--range=-1:1``."""
+        common = ["scan", "--family", "paper-d3", "--param", "phi", "--steps", "3", "--a", "0.4", "--out"]
+        assert main([*common, str(tmp_path / "eq.csv"), "--range=-1:1"]) == 0
+        assert main([*common, str(tmp_path / "space.csv"), "--range", "-1:1"]) == 0
+        assert (tmp_path / "space.csv").read_bytes() == (tmp_path / "eq.csv").read_bytes()
+        assert capsys.readouterr().out.splitlines()[-1] == f"3 rows -> {tmp_path / 'space.csv'}"
+
+    def test_range_followed_by_an_option_is_a_usage_error(self, tmp_path, capsys):
+        argv = ["scan", "--family", "paper-d3", "--param", "phi", "--range", "--steps", "3", "--a", "0.4",
+                "--out", str(tmp_path / "x.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --range: expected one argument\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_single_step_is_the_range_start(self, tmp_path):
         out = tmp_path / "x.csv"

@@ -64,8 +64,8 @@ def _inputs(directory: Path) -> None:
     (directory / "bad.json").write_text('{"format_version": 1, "dim": 2, "bases": [')
 
 
-def _run(args, cwd, stdout=subprocess.PIPE):
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=_env(), stdin=subprocess.DEVNULL,
+def _run(args, cwd, stdout=subprocess.PIPE, **env):
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=dict(_env(), **env), stdin=subprocess.DEVNULL,
                           stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
 
 
@@ -140,6 +140,24 @@ class TestFastExit:
         assert proc.returncode == 120
         assert "Traceback" not in proc.stderr
         assert "No space left on device" in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_unbuffered_write_is_no_input_error(self, cwd):
+        """Unbuffered, the write fails inside the command: one error line and exit 120, not the input errors' 2."""
+        with open("/dev/full", "w") as full:
+            proc = _run([*CLI, "bounds", "--input", "triple.json"], cwd, stdout=full, PYTHONUNBUFFERED="1")
+        assert proc.returncode == 120
+        assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+    def test_closed_pipe_is_no_input_error(self, cwd):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _run([*CLI, "bounds", "--input", "triple.json"], cwd, stdout=write, PYTHONUNBUFFERED="1")
+        finally:
+            os.close(write)
+        assert proc.returncode == 120
+        assert proc.stderr == "error: [Errno 32] Broken pipe\n"
 
     def test_other_exceptions_propagate(self, cwd):
         before = "import eur.bounds; eur.bounds.build_reports = lambda *args, **kwargs: 1 / 0"

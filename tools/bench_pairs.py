@@ -12,7 +12,7 @@ stands, uncommitted edits included.  Pair k runs seed ``--seed-start + k - 1`` o
 the parent first on odd pairs and the change first on even ones, one run at a time.  Each
 run's last stdout line (its JSON result) is kept under ``runs``; ``summary`` gives, per
 workload and metric, [q1, median, q3] of each side, the number of pairs in which the change
-reads lower and the failed calls of each side.
+reads lower, whether that shows a gain (``gain_shown``) and the failed calls of each side.
 """
 
 from __future__ import annotations
@@ -47,8 +47,18 @@ def _quartiles(values: list[float]) -> list[float]:
     return [round(x, 4) for x in statistics.quantiles(values, n=4)]
 
 
+def gain_shown(parent: list[float], change: list[float]) -> bool:
+    """Whether the change shows a gain on a lower-is-better metric, pair k being (parent[k], change[k]):
+    of at least ten pairs, it reads lower in at least 9 of 10 (a tie counts for neither side), and its
+    median is below the parent's by more than the parent's spread q3 - q1."""
+    lower = sum(c < p for p, c in zip(parent, change))
+    q1, median, q3 = statistics.quantiles(parent, n=4)
+    return len(parent) >= 10 and 10 * lower >= 9 * len(parent) and median - statistics.median(change) > q3 - q1
+
+
 def summarize(runs: list[dict]) -> dict:
-    """Per "<workload> <metric>": pairs, each side's [q1, median, q3], pairs the change reads lower, failures."""
+    """Per "<workload> <metric>": pairs, each side's [q1, median, q3], pairs the change reads lower,
+    whether that shows a gain (:func:`gain_shown`), and failures."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict] = {}
@@ -63,6 +73,7 @@ def summarize(runs: list[dict]) -> dict:
                 "parent_q1_med_q3": _quartiles(value["parent"]),
                 "change_q1_med_q3": _quartiles(value["change"]),
                 "change_lower_pairs": sum(c < p for p, c in zip(value["parent"], value["change"])),
+                "gain_shown": gain_shown(value["parent"], value["change"]),
                 "fail": [sum(p[side]["failed"] for p in complete) for side in ("parent", "change")],
             }
     return summary
@@ -125,7 +136,8 @@ def main(argv=None) -> int:
             f"Raw result lines of bench/run.py --seconds {args.seconds:g} --trace 0; parent = {base[:7]}, "
             f"change = {change}. Pairs alternate which side runs first (odd pairs: parent first); "
             f"pair k runs seed {args.seed_start} + k - 1 on both sides. 'summary' gives [q1, median, q3] per side, "
-            "the number of pairs where the change reads lower and the failed calls per side."
+            "the number of pairs where the change reads lower, 'gain_shown' (at least ten pairs, lower in at "
+            "least 9 of 10 and the median lower by more than the parent's q3 - q1) and the failed calls per side."
         ),
         "machine": {**machine, "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", "")},
         "summary": summarize(runs),
