@@ -18,10 +18,10 @@ call; ``eur scan`` runs the same steps on a stack of banks.  The other
 bounds (two-measurement, max-of-pairwise-sums SCB, weighted three-measurement,
 state-dependent and quantum-memory forms) also add a state term in S(rho) or
 S(A|B) to a constant of the bank, for two measurements a pair term
--log2 c(M_i, M_j) (``_pair_bounds``).  The gap kernels ``_state_gaps`` and
-``_memory_gaps`` give every bound's left-hand side and value on a stack of
-states, from one product for the outcome distributions and one stacked
-eigendecomposition per kind of state.
+-log2 c(M_i, M_j) (``_pair_bounds``); the state-dependent one is in closed form,
+with no sigma built.  The gap kernels ``_state_gaps`` and ``_memory_gaps`` give
+every bound's left-hand side and value on a stack of states, from one product
+for the outcome distributions and one stacked ``eigvalsh`` per kind of state.
 """
 
 from __future__ import annotations
@@ -39,13 +39,12 @@ from .core import (
     MeasurementChain,
     _Record,
     _born_probabilities,
-    _mixture,
     _stacked_bras,
     max_overlap,
     outcome_distribution,
     overlap_table,
 )
-from .entropy import _entropy_rows, _memory_entropies, _relative_entropies, conditional_entropy, von_neumann_entropy
+from .entropy import LOG_CUTOFF, _entropy_rows, _memory_entropies, conditional_entropy, von_neumann_entropy
 
 PURITY_TOL = 1e-9  # tr(rho^2) must exceed 1 - PURITY_TOL for pure-state-only bounds
 WEIGHTED_WEIGHTS = (1.0, 1.0, 2.0)  # H(u) + H(v) + 2 H(w), the WEIGHTED bound's entropy sum
@@ -281,20 +280,20 @@ def chain_coefficients(chain: MeasurementChain, rho: DensityMatrix) -> np.ndarra
     return _push_weights(chain, outcome_distribution(chain[0], rho))
 
 
-def _state_dependent(chain: MeasurementChain, rhos: np.ndarray, beta: np.ndarray, s):
-    """:func:`state_dependent_bound` of each matrix of the (..., d, d) stack ``rhos``, given its
-    chain weights ``beta`` (..., d) and its entropy ``s``.  No validation."""
-    sigmas = _mixture(chain[len(chain) - 1].vectors, beta / beta.sum(axis=-1, keepdims=True))
-    return len(chain) * s + _relative_entropies(rhos, sigmas)
+def _state_dependent(n: int, beta: np.ndarray, q: np.ndarray, s):
+    """:func:`state_dependent_bound` of ``n`` bases from chain weights ``beta``, last-basis Born
+    probabilities ``q`` (both (..., d)) and S(rho) ``s``; q_j <= ``LOG_CUTOFF`` adds 0.  No validation."""
+    beta = np.where(q > LOG_CUTOFF, beta / beta.sum(axis=-1, keepdims=True), 1.0)
+    return (n - 1) * s - (q * np.log2(beta)).sum(axis=-1)
 
 
 def state_dependent_bound(chain: MeasurementChain, rho: DensityMatrix) -> float:
-    """N S(rho) + S(rho || sigma), sigma diagonal in the last basis with the chain weights.
-
-    Tighter than :func:`mu_multi_bound_with_state` for every state.  Returns
-    ``math.inf`` if rho has support where the chain weights vanish.
-    """
-    return float(_state_dependent(chain, rho.matrix, chain_coefficients(chain, rho), von_neumann_entropy(rho)))
+    """N S(rho) + S(rho || sigma), sigma = sum_j beta_j |v_j><v_j| with the normalized chain weights on the
+    last basis v, as (N - 1) S(rho) - sum_j <v_j|rho|v_j> log2 beta_j.  Always finite: for a PSD rho,
+    <v|rho|v> > 0 implies <v|sum_i P_i rho P_i|v> > 0, and beta_j = <v_j|D_{N-1}...D_1(rho)|v_j> (D_m
+    dephases in basis m), so <v_j|rho|v_j> > 0 forces beta_j > 0.  Tighter than :func:`mu_multi_bound_with_state`."""
+    beta = chain_coefficients(chain, rho)  # checks the dimensions
+    return float(_state_dependent(len(chain), beta, outcome_distribution(chain[-1], rho), von_neumann_entropy(rho)))
 
 
 def berta_two_bound(a: MeasurementBasis, b: MeasurementBasis, rho: BipartiteState) -> float:
@@ -323,11 +322,10 @@ def _state_gaps(chain: MeasurementChain, rhos: np.ndarray) -> dict:
     probs = _born_probabilities(_stacked_bras(chain), rhos).reshape(-1, n, chain.dim)
     hs, h_min = _entropy_rows(probs, (1.0,)), sum(_entropy_rows(probs, (math.inf,)).T)  # hs: (k, N)
     h, s = sum(hs.T), _entropy_rows(np.linalg.eigvalsh(rhos), (1.0,))
-    beta = _push_weights(chain, probs[:, 0])  # chain weights on the last basis
     gaps = {
         BoundName.DEUTSCH_MULTI: (h_min, np.full_like(s, deutsch_multi_bound(chain))),
         BoundName.MU_MULTI: (h, mu_multi_bound(chain) + (n - 1) * s),
-        BoundName.STATE_DEPENDENT: (h, _state_dependent(chain, rhos, beta, s)),
+        BoundName.STATE_DEPENDENT: (h, _state_dependent(n, _push_weights(chain, probs[:, 0]), probs[:, -1], s)),
         BoundName.SCB_MAX: (h, _scb_max(bank, s)),
         BoundName.MU_TWO: (hs[:, 0] + hs[:, 1], _pair_bounds(bank)[0, 1] + s),
     }
@@ -408,11 +406,12 @@ def build_reports(
 
     m_val, m_order = searched(mu_multi_bound_best_order, mu_multi_bound)
     reports.append(BoundReport(BoundName.MU_MULTI, m_val + (n - 1) * s, uses_state, m_order))
-    bank, values = chain.overlaps, {BoundName.SCB_MAX: scb_max_bound(chain, rho)}
+    bank, values = chain.overlaps, {BoundName.SCB_MAX: float(_scb_max(chain.overlaps, s))}
     if n == 2:
         values[BoundName.MU_TWO] = float(_pair_bounds(bank)[0, 1]) + s
     if n == 3:
         values[BoundName.WEIGHTED] = _weighted(bank[0, 2], bank[2, 1]) + 2.0 * s
     if rho is not None:
-        values[BoundName.STATE_DEPENDENT] = state_dependent_bound(chain, rho)
+        q = outcome_distribution(chain[-1], rho)
+        values[BoundName.STATE_DEPENDENT] = float(_state_dependent(n, chain_coefficients(chain, rho), q, s))
     return reports + [BoundReport(name, value, uses_state, identity_order) for name, value in values.items()]

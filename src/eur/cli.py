@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import _deutsch_multi, _mu_multi_best, _scb_max, build_reports
 from .core import _overlap_bank
-from .fileio import read_chain, read_density_matrix, write_measurement_set
+from .fileio import _write_text, read_chain, read_density_matrix, write_measurement_set
 from .generators import _paper_d3_vectors, mub_set, parametric_d3_chain, random_basis
 from .verifier import (
     MinimizationConfig,
@@ -101,8 +101,7 @@ def cmd_scan(args) -> int:
     header = ",".join(["a", "phi"] + [SCAN_BOUNDS[name][0] for name in requested])
     # "%.12g" % x and format(x, ".12g") give the same bytes; one format per row, one write
     row_format = ",".join(["%.12g"] * (2 + len(requested))) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(header + "\n" + "".join(row_format % row for row in rows))
+    _write_text(args.out, header + "\n" + "".join(row_format % row for row in rows))
     print(f"{len(rows)} rows -> {args.out}")
     return 0
 

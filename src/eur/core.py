@@ -266,15 +266,10 @@ def outcome_distribution(basis: MeasurementBasis, rho: DensityMatrix) -> np.ndar
     return _born_probabilities(basis.vectors.conj(), rho.matrix)
 
 
-def _mixture(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i w_i |u_i><u_i| over the rows u_i of ``vectors``, per weight vector of the (..., d) ``weights``."""
-    out = (vectors.T * weights[..., None, :]) @ vectors.conj()
-    return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
-
-
 def measurement_channel(basis: MeasurementBasis, rho: DensityMatrix) -> DensityMatrix:
     """Dephase rho in the given basis: sum_i <u_i|rho|u_i> |u_i><u_i|."""
-    return DensityMatrix(_mixture(basis.vectors, outcome_distribution(basis, rho)), validate=False)
+    out = (basis.vectors.T * outcome_distribution(basis, rho)) @ basis.vectors.conj()
+    return DensityMatrix(0.5 * (out + out.conj().T), validate=False)
 
 
 def bipartite_measurement_channel(basis: MeasurementBasis, rho: BipartiteState) -> BipartiteState:

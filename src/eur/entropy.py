@@ -57,15 +57,16 @@ def _entropy_rows(p: np.ndarray, alphas) -> np.ndarray:
 
 
 def _entropy_rows_of_order(p: np.ndarray, alpha: float) -> np.ndarray:
+    # each + 0.0 turns the -0.0 of a certain outcome into a plain 0.0 and changes no other bit
     if alpha == 1.0:
         q = np.where(p > LOG_CUTOFF, p, 1.0)  # 1 * log2(1) = 0 for the cut entries
-        return -(q * np.log2(q)).sum(axis=-1)
+        return -(q * np.log2(q)).sum(axis=-1) + 0.0
     if math.isinf(alpha):
-        return -np.log2(p.max(axis=-1))
+        return -np.log2(p.max(axis=-1)) + 0.0
     # log2(sum p^alpha) computed as log1p(sum (p^alpha - p)) to stay accurate
     # when alpha is close to 1 and the power sum is close to 1.
     delta = (np.power(p, alpha) - p).sum(axis=-1)
-    return np.log1p(delta) / ((1.0 - alpha) * math.log(2.0))
+    return np.log1p(delta) / ((1.0 - alpha) * math.log(2.0)) + 0.0
 
 
 def _plogp_sum(p: np.ndarray) -> float:
@@ -87,19 +88,6 @@ def renyi_entropy(p, alpha: float) -> float:
     if not (alpha > 0.0):
         raise ValueError(f"Renyi order must be positive, got {alpha!r}")
     return float(_entropy_rows(p[None, :], (alpha,))[0])
-
-
-def _relative_entropies(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """S(rho || sigma) for each pair of two (..., d, d) stacks, one ``eigh`` per stack, no validation."""
-    p, pv = np.linalg.eigh(rhos)
-    q, qv = np.linalg.eigh(sigmas)
-    p, q = np.where(p < 0.0, 0.0, p), np.where(q < 0.0, 0.0, q)
-    # weight[..., j] = <s_j|rho|s_j> resolved in sigma's eigenbasis
-    weight = (p[..., :, None] * np.abs(np.swapaxes(pv.conj(), -1, -2) @ qv) ** 2).sum(axis=-2)
-    kernel = q <= SUPPORT_TOL
-    tr_rho_log_sigma = (weight * np.log2(np.where(kernel, 1.0, q))).sum(axis=-1)
-    out = -_entropy_rows(p, (1.0,)) - tr_rho_log_sigma
-    return np.where(np.where(kernel, weight, 0.0).sum(axis=-1) > SUPPORT_TOL, INFINITY, out)
 
 
 def _memory_entropies(joints: np.ndarray, dim_a: int, dim_b: int, bras: np.ndarray | None = None):
@@ -137,7 +125,16 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch in relative_entropy: {rho.dim} vs {sigma.dim}")
-    return float(_relative_entropies(rho.matrix, sigma.matrix))
+    p, pv = np.linalg.eigh(rho.matrix)
+    q, qv = np.linalg.eigh(sigma.matrix)
+    p, q = np.where(p < 0.0, 0.0, p), np.where(q < 0.0, 0.0, q)
+    # weight[j] = <s_j|rho|s_j> resolved in sigma's eigenbasis
+    weight = (p[:, None] * np.abs(pv.conj().T @ qv) ** 2).sum(axis=0)
+    kernel = q <= SUPPORT_TOL
+    if np.where(kernel, weight, 0.0).sum() > SUPPORT_TOL:
+        return INFINITY
+    # + 0.0: S(rho || rho) of a pure rho is 0.0, not -0.0
+    return float(-_entropy_rows(p, (1.0,)) - (weight * np.log2(np.where(kernel, 1.0, q))).sum() + 0.0)
 
 
 def conditional_entropy(rho: BipartiteState) -> float:

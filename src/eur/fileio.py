@@ -61,10 +61,18 @@ def _load_json(path, key: str) -> tuple[dict, int]:
     return data, dim
 
 
+def _write_text(path, text: str) -> None:
+    """Open, write, close; a failed write or close raises an OSError with ``path`` in its message, not its filename."""
+    fh = open(path, "w")
+    try:
+        with fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"{path}: {exc}") from exc
+
+
 def _dump_json(path, dim: int, key: str, value) -> None:
-    with open(path, "w") as fh:
-        json.dump({"format_version": FORMAT_VERSION, "dim": dim, key: value}, fh, indent=1)
-        fh.write("\n")
+    _write_text(path, json.dumps({"format_version": FORMAT_VERSION, "dim": dim, key: value}, indent=1) + "\n")
 
 
 def write_measurement_set(path, bases: Sequence[MeasurementBasis]) -> None:

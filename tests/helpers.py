@@ -225,6 +225,16 @@ def brute_force_chain_weights(chain, rho):
     return beta
 
 
+def tilted_qubit_chain_and_state(eps=4e-13):
+    """The computational basis, then that basis turned by asin(sqrt(eps)), and the pure state
+    (sqrt(eps), sqrt(1 - eps)): the last basis' outcome 0 has probability 4 eps (1 - eps) and
+    chain weight 2 eps (1 - eps)."""
+    t = math.asin(math.sqrt(eps))
+    tilted = eur.MeasurementBasis(np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]]))
+    state = PureState(np.array([math.sqrt(eps), math.sqrt(1.0 - eps)])).projector()
+    return eur.MeasurementChain((eur.computational_basis(2), tilted)), state
+
+
 def random_chain(dim, n, seed):
     return eur.MeasurementChain(tuple(eur.random_basis(dim, 1000 * seed + k) for k in range(n)))
 

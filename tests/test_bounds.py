@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import eur
-from eur.bounds import BoundName, _pair_bounds, _weighted
+from eur.bounds import BoundName, _pair_bounds, _state_gaps, _weighted
 from eur.core import DensityMatrix, MeasurementChain, PureState, overlap_table
 from helpers import (
     _distinct_cyclic_orders,
@@ -20,6 +20,7 @@ from helpers import (
     random_chain,
     random_pure_density,
     reordered_best_order,
+    tilted_qubit_chain_and_state,
 )
 
 # -2 log2((1 + sqrt(1/2)) / 2) and the three-factor analogue
@@ -269,6 +270,60 @@ class TestStateDependent:
                 eur.shannon_entropy(eur.outcome_distribution(b, rho)) for b in chain
             )
             assert esum >= eur.state_dependent_bound(chain, rho) - 1e-9
+
+    def test_finite_where_the_chain_weight_is_below_the_support_tolerance(self):
+        """The last basis' outcome 0 has probability 4 eps (1 - eps) and chain weight 2 eps (1 - eps),
+        below 1e-12: a bound read off sigma's support would be inf, above the entropy sum."""
+        chain, rho = tilted_qubit_chain_and_state()
+        bound = eur.state_dependent_bound(chain, rho)
+        esum = sum(eur.shannon_entropy(eur.outcome_distribution(b, rho)) for b in chain)
+        assert math.isfinite(bound)
+        assert eur.mu_multi_bound_with_state(chain, rho) - 1e-12 <= bound <= esum + 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_relative_entropy_form(self, dim, n):
+        """The closed form against N S(rho) + S(rho || sigma) with sigma built and eigendecomposed."""
+        for k, rank in enumerate(sorted({dim, dim - 1, 1})):
+            seed = 100 * dim + 10 * n + k
+            chain = random_chain(dim, n, seed)
+            rho = eur.random_density_matrix(dim, rank, seed=seed)
+            beta = eur.chain_coefficients(chain, rho)
+            v = chain[-1].vectors
+            sigma = DensityMatrix((v.T * (beta / beta.sum())) @ v.conj())
+            expected = n * eur.von_neumann_entropy(rho) + eur.relative_entropy(rho, sigma)
+            assert eur.state_dependent_bound(chain, rho) == pytest.approx(expected, abs=1e-10)
+
+
+def _count_decompositions(monkeypatch):
+    calls = {"eigvalsh": 0, "eigh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestOneSpectrumPerState:
+    """Every state term of one call reads one ``eigvalsh`` spectrum; no eigenvector is taken."""
+
+    def test_build_reports(self, monkeypatch):
+        chain = random_chain(3, 3, seed=7)
+        rho = eur.random_density_matrix(3, 3, seed=7)
+        calls = _count_decompositions(monkeypatch)
+        eur.build_reports(chain, rho)
+        assert calls == {"eigvalsh": 1, "eigh": 0}
+
+    def test_state_gaps(self, monkeypatch):
+        chain = random_chain(3, 3, seed=8)
+        rhos = np.array([eur.random_density_matrix(3, 2, seed=seed).matrix for seed in range(5)])
+        calls = _count_decompositions(monkeypatch)
+        _state_gaps(chain, rhos)
+        assert calls == {"eigvalsh": 1, "eigh": 0}
 
 
 class TestMemoryBounds:

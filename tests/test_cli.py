@@ -15,7 +15,7 @@ import eur
 from eur import cli
 from eur.cli import main
 from eur.fileio import read_measurement_set, write_density_matrix, write_measurement_set
-from helpers import MALFORMED_FILES, SCAN_ORACLE, loop_scan_rows, scan_csv, write_malformed
+from helpers import MALFORMED_FILES, SCAN_ORACLE, loop_scan_rows, scan_csv, tilted_qubit_chain_and_state, write_malformed
 
 
 @pytest.fixture
@@ -226,6 +226,16 @@ class TestBounds:
         table = bound_lines(capsys.readouterr().out)
         assert table["MU_MULTI"] == pytest.approx(3.0, abs=1e-10)
         assert table["STATE_DEPENDENT"] == pytest.approx(3.0, abs=1e-10)
+
+    def test_state_dependent_is_finite_where_the_chain_weight_is_tiny(self, tmp_path, capsys):
+        chain, rho = tilted_qubit_chain_and_state()
+        chain_path, rho_path = tmp_path / "chain.json", tmp_path / "rho.json"
+        write_measurement_set(chain_path, chain)
+        write_density_matrix(rho_path, rho)
+        assert main(["bounds", "--input", str(chain_path), "--state", str(rho_path)]) == 0
+        value = bound_lines(capsys.readouterr().out)["STATE_DEPENDENT"]
+        esum = sum(eur.shannon_entropy(eur.outcome_distribution(b, rho)) for b in chain)
+        assert math.isfinite(value) and value <= esum
 
     def test_min_orders_only_deutsch(self, mub_triple_file, capsys):
         assert main(["bounds", "--input", mub_triple_file, "--orders", "min"]) == 0
@@ -518,6 +528,15 @@ class TestVerify:
         assert "converged restarts: 4/4" in out
         assert "slack MU_MULTI" in out and "slack STATE_DEPENDENT" in out
         assert out.splitlines()[-1] == "CERTIFIED"
+
+    def test_one_dimensional_chain_prints_no_negative_zero(self, tmp_path, capsys):
+        # one spot-check round, whose state gives MU_TWO a left-hand side and a bound of exactly 0
+        path = tmp_path / "d1.json"
+        write_measurement_set(path, [eur.computational_basis(1)] * 2)
+        assert main(["verify", "--input", str(path), "--mode", "state", "--restarts", "2", "--samples", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "spot  MU_TWO           0.000e+00" in out.splitlines()
+        assert "-0.000e+00" not in out
 
     def test_min_orders_mode(self, mub_pair_file, capsys):
         rc = main(

@@ -119,6 +119,16 @@ class TestEntropyRows:
         assert_allclose(_entropy_rows(p, [1.0] * len(p)), want, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("entropy", [
+    lambda: eur.shannon_entropy([1.0, 0.0]),
+    lambda: eur.renyi_entropy([1.0, 0.0], math.inf),
+    lambda: eur.renyi_entropy([1.0, 0.0], 2.0),
+    lambda: eur.von_neumann_entropy(PureState(np.array([1.0, 0.0])).projector()),
+], ids=["shannon", "min", "renyi-2", "von-neumann"])
+def test_certain_outcome_has_positive_zero_entropy(entropy):
+    assert math.copysign(1.0, entropy()) == 1.0
+
+
 class TestVonNeumann:
     def test_pure_state_is_zero(self):
         psi = PureState(np.array([0.6, 0.8j]))

@@ -149,6 +149,18 @@ class TestFastExit:
         assert proc.returncode == 120
         assert proc.stderr == "error: [Errno 28] No space left on device\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [
+        ["generate", "--kind", "mub", "--dim", "2"],
+        ["scan", "--family", "paper-d3", "--param", "a", "--range", "0:1", "--steps", "3", "--phi", "0.5"],
+    ], ids=["generate", "scan"])
+    def test_failed_out_write_names_the_path(self, cwd, args):
+        """An --out that opens but cannot be written: one error line naming it, and exit 120."""
+        proc = _run([*CLI, *args, "--out", "/dev/full"], cwd)
+        assert proc.returncode == 120
+        assert proc.stdout == ""
+        assert proc.stderr == "error: /dev/full: [Errno 28] No space left on device\n"
+
     def test_closed_pipe_is_no_input_error(self, cwd):
         read, write = os.pipe()
         os.close(read)
