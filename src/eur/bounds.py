@@ -69,8 +69,7 @@ class BoundReport(_Record):
 
 
 def _neg_log2(x):
-    # + 0.0 turns -log2(1) = -0.0 into a plain 0.0
-    return -np.log2(x) + 0.0
+    return np.maximum(-np.log2(x), 0.0)  # x, a product of overlaps, is <= 1: see entropy._entropy_rows_of_order
 
 
 def _state_entropy(dim: int, rho: DensityMatrix | None, what: str) -> float:

@@ -17,8 +17,7 @@ NORM_TOL = 1e-10          # |sum |a_k|^2 - 1| for pure states / basis rows
 ORTHO_TOL = 1e-9          # |<u_i|u_j>| for i != j
 HERMITIAN_TOL = 1e-10     # max |M - M^dagger|
 TRACE_TOL = 1e-10         # |tr(rho) - 1|
-EIGENVALUE_FLOOR = -1e-10  # eigenvalues in [floor, 0) pass, cut to 0 weight by entropy.LOG_CUTOFF; below is an error
-PROB_CLAMP = 1e-12        # outcome probabilities in [-PROB_CLAMP, 0) clamp to 0
+EIGENVALUE_FLOOR = -1e-10  # eigenvalues and Born probabilities (their averages) in [floor, 0) pass; below is an error
 
 
 def _as_square_matrix(m, name: str) -> np.ndarray:
@@ -253,15 +252,15 @@ def _stacked_bras(chain: MeasurementChain) -> np.ndarray:
 
 
 def _born_probabilities(bras: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """<u_i|rho|u_i> for the rows <u_i| of ``bras`` and each rho of the (..., d, d) stack, unvalidated."""
+    """<u_i|rho|u_i> for the rows <u_i| of ``bras`` and each rho of the (..., d, d) stack, clipped into [0, 1]."""
     p = np.einsum("ij,...jk,ik->...i", bras, mats, bras.conj()).real
-    if p.min() < -PROB_CLAMP:
-        raise ValueError(f"outcome probability below clamp window: {p.min():.3e}")
-    return np.where(p < 0.0, 0.0, p)
+    if p.min() < EIGENVALUE_FLOOR:
+        raise ValueError(f"outcome probability below the eigenvalue floor: {p.min():.3e}")
+    return p.clip(0.0, 1.0)
 
 
 def outcome_distribution(basis: MeasurementBasis, rho: DensityMatrix) -> np.ndarray:
-    """Born probabilities p_i = <u_i|rho|u_i>, tiny negatives clamped to 0."""
+    """Born probabilities p_i = <u_i|rho|u_i>, clipped into [0, 1]."""
     _check_same_dim(basis.dim, rho.dim, "outcome_distribution")
     return _born_probabilities(basis.vectors.conj(), rho.matrix)
 

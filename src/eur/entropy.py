@@ -44,6 +44,7 @@ def _entropy_rows(p: np.ndarray, alphas) -> np.ndarray:
     validation: rows must be probability vectors and orders positive.
     Entries at or below ``LOG_CUTOFF`` contribute 0 to the Shannon sum, so a
     row of length d <= 7 gives the same bits as summing only its kept entries.
+    No entropy is below +0.0.
     """
     distinct = set(alphas)
     if len(distinct) == 1:
@@ -57,16 +58,16 @@ def _entropy_rows(p: np.ndarray, alphas) -> np.ndarray:
 
 
 def _entropy_rows_of_order(p: np.ndarray, alpha: float) -> np.ndarray:
-    # each + 0.0 turns the -0.0 of a certain outcome into a plain 0.0 and changes no other bit
+    # an entropy is >= 0: each max(., 0) lifts a certain outcome's rounding negatives and -0.0 to +0.0
     if alpha == 1.0:
         q = np.where(p > LOG_CUTOFF, p, 1.0)  # 1 * log2(1) = 0 for the cut entries
-        return -(q * np.log2(q)).sum(axis=-1) + 0.0
+        return np.maximum(-(q * np.log2(q)).sum(axis=-1), 0.0)
     if math.isinf(alpha):
-        return -np.log2(p.max(axis=-1)) + 0.0
+        return np.maximum(-np.log2(p.max(axis=-1)), 0.0)
     # log2(sum p^alpha) computed as log1p(sum (p^alpha - p)) to stay accurate
     # when alpha is close to 1 and the power sum is close to 1.
     delta = (np.power(p, alpha) - p).sum(axis=-1)
-    return np.log1p(delta) / ((1.0 - alpha) * math.log(2.0)) + 0.0
+    return np.maximum(np.log1p(delta) / ((1.0 - alpha) * math.log(2.0)), 0.0)
 
 
 def _plogp_sum(p: np.ndarray) -> float:
@@ -113,12 +114,12 @@ def _memory_entropies(joints: np.ndarray, dim_a: int, dim_b: int, bras: np.ndarr
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -tr(rho log2 rho) from the ``eigvalsh`` spectrum, entries at or below ``LOG_CUTOFF`` as 0."""
+    """S(rho) = -tr(rho log2 rho) >= +0.0 from the ``eigvalsh`` spectrum, entries at or below ``LOG_CUTOFF`` as 0."""
     return _plogp_sum(np.linalg.eigvalsh(rho.matrix))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """S(rho || sigma) = tr(rho log2 rho) - tr(rho log2 sigma).
+    """S(rho || sigma) = tr(rho log2 rho) - tr(rho log2 sigma), never below +0.0.
 
     Returns ``math.inf`` when rho has weight outside the support of sigma
     (sigma eigenvalues at or below ``SUPPORT_TOL`` count as its kernel).
@@ -133,8 +134,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     kernel = q <= SUPPORT_TOL
     if np.where(kernel, weight, 0.0).sum() > SUPPORT_TOL:
         return INFINITY
-    # + 0.0: S(rho || rho) of a pure rho is 0.0, not -0.0
-    return float(-_entropy_rows(p, (1.0,)) - (weight * np.log2(np.where(kernel, 1.0, q))).sum() + 0.0)
+    return float(np.maximum(-_entropy_rows(p, (1.0,)) - (weight * np.log2(np.where(kernel, 1.0, q))).sum(), 0.0))
 
 
 def conditional_entropy(rho: BipartiteState) -> float:

@@ -199,6 +199,11 @@ class TestOutcomeDistribution:
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
         assert p.min() >= 0.0
 
+    def test_negative_eigenvalue_above_the_floor_is_clipped(self):
+        # the constructor's floor is the Born probabilities' window too: no state it accepts is refused here
+        rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
+        assert eur.outcome_distribution(eur.computational_basis(2), rho).tolist() == [1.0, 0.0]
+
 
 class TestMeasurementChannel:
     def test_plus_state_dephases_to_maximally_mixed(self):

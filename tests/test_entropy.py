@@ -119,14 +119,24 @@ class TestEntropyRows:
         assert_allclose(_entropy_rows(p, [1.0] * len(p)), want, rtol=0.0, atol=1e-14)
 
 
+ROUNDED_UP = [1.0 + 2.0**-52, 0.0]  # a certain outcome one ulp above 1, as a Born probability can round
+
+
 @pytest.mark.parametrize("entropy", [
     lambda: eur.shannon_entropy([1.0, 0.0]),
     lambda: eur.renyi_entropy([1.0, 0.0], math.inf),
     lambda: eur.renyi_entropy([1.0, 0.0], 2.0),
     lambda: eur.von_neumann_entropy(PureState(np.array([1.0, 0.0])).projector()),
-], ids=["shannon", "min", "renyi-2", "von-neumann"])
+    lambda: eur.shannon_entropy(ROUNDED_UP),
+    lambda: eur.renyi_entropy(ROUNDED_UP, 0.5),
+    lambda: eur.renyi_entropy(ROUNDED_UP, 2.0),
+    lambda: eur.renyi_entropy(ROUNDED_UP, math.inf),
+    lambda: eur.von_neumann_entropy(DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))),  # eigenvalue above the floor
+], ids=["shannon", "min", "renyi-2", "von-neumann", "rounded-up-shannon", "rounded-up-renyi-0.5",
+        "rounded-up-renyi-2", "rounded-up-min", "von-neumann-negative-eigenvalue"])
 def test_certain_outcome_has_positive_zero_entropy(entropy):
-    assert math.copysign(1.0, entropy()) == 1.0
+    value = entropy()
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 class TestVonNeumann:

@@ -52,7 +52,7 @@ def test_calls_missing_on_either_side_differ():
 
 def test_corpus_size_and_distinct_ids():
     calls = output_corpus.corpus_calls()
-    assert len(calls) == 317
-    assert sum(argv[0] == "bounds" for argv in calls) == 110
-    assert sum(argv[0] == "verify" for argv in calls) == 206
+    assert len(calls) == 319
+    assert sum(argv[0] == "bounds" for argv in calls) == 111
+    assert sum(argv[0] == "verify" for argv in calls) == 207
     assert len({" ".join(argv) for argv in calls}) == len(calls)

@@ -14,7 +14,7 @@ stdout, stderr (its temporary directory replaced by ``<tmp>``) and the sha256 of
 call wrote.  Every call whose record differs is printed with its first differing line; the exit
 code is 1 if any call differs, else 0.  The temporary directories are removed.
 
-The corpus (317 calls):
+The corpus (319 calls):
 
 * chains: ``mub_set(d)`` for d = 2, 3, 5, ``mub_set(2, 2)``, and ``generate --kind random`` chains
   with d = 2..4, N = 2..4 and seeds 1 and 11;
@@ -23,6 +23,9 @@ The corpus (317 calls):
 * on every chain and with ``--seed`` 0 and 1, ``verify --mode state --restarts 16``,
   ``--orders min --restarts 8``, and ``--mode memory --restarts 8`` with d_B = 1, 2, 3 where
   d d_B <= 9;
+* two edge states: ``verify --mode state`` with default samples on a d = 1 chain, whose Born
+  probabilities can round to 1 + 2^-52, and ``bounds --state`` on ``mub_set(2)`` with
+  rho = diag(1 + 5e-11, -5e-11), a negative eigenvalue above the constructor's floor;
 * the benchmark's two ``verify`` calls and its 2001-step ``scan``.
 """
 
@@ -67,6 +70,8 @@ def corpus_calls() -> list[list[str]]:
         runs += [["--mode", "memory", "--dim-b", str(b), "--restarts", "8"] for b in (1, 2, 3) if d * b <= 9]
         calls += [["verify", *chain, *flags, "--seed", seed] for seed in ("0", "1") for flags in runs]
     return calls + [
+        ["verify", "--input", "d1.json", "--mode", "state"],  # the edge states
+        ["bounds", "--input", "mub2.json", "--state", "rho_edge.json"],
         ["verify", "--input", "mub3.json", "--mode", "state", "--seed", "1"],  # the benchmark's calls
         ["verify", "--input", "mub2.json", "--mode", "memory", "--dim-b", "2", "--seed", "1", "--restarts", "16"],
         ["scan", "--family", "paper-d3", "--param", "phi", "--range", "0:6.283185307179586", "--steps", "2001",
@@ -76,9 +81,12 @@ def corpus_calls() -> list[list[str]]:
 
 def run_corpus() -> list[dict]:
     """The record of every corpus call, run in this process on the ``eur`` that ``sys.path`` finds."""
+    import numpy as np
+
     from eur.cli import main
+    from eur.core import DensityMatrix
     from eur.fileio import write_density_matrix, write_measurement_set
-    from eur.generators import mub_set, random_basis, random_density_matrix
+    from eur.generators import computational_basis, mub_set, random_basis, random_density_matrix
 
     work = Path(tempfile.mkdtemp(prefix="output-corpus-run-"))
     cwd = os.getcwd()
@@ -90,6 +98,8 @@ def run_corpus() -> list[dict]:
             write_measurement_set(f"{stem}.json", bases)
         for d in (2, 3, 4, 5):
             write_density_matrix(f"rho{d}.json", random_density_matrix(d, d, 100 + d))
+        write_measurement_set("d1.json", [computational_basis(1)] * 2)
+        write_density_matrix("rho_edge.json", DensityMatrix(np.diag([1.0 + 5e-11, -5e-11])))
         records = []
         for argv in corpus_calls():
             out, err = io.StringIO(), io.StringIO()
