@@ -411,6 +411,6 @@ def build_reports(
     if n == 3:
         values[BoundName.WEIGHTED] = _weighted(bank[0, 2], bank[2, 1]) + 2.0 * s
     if rho is not None:
-        q = outcome_distribution(chain[-1], rho)
-        values[BoundName.STATE_DEPENDENT] = float(_state_dependent(n, chain_coefficients(chain, rho), q, s))
+        probs = _born_probabilities(_stacked_bras(chain), rho.matrix).reshape(n, -1)
+        values[BoundName.STATE_DEPENDENT] = float(_state_dependent(n, _push_weights(chain, probs[0]), probs[-1], s))
     return reports + [BoundReport(name, value, uses_state, identity_order) for name, value in values.items()]

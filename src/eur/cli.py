@@ -35,6 +35,14 @@ SCAN_BOUNDS = {
     "deutsch-multi": ("deutsch_multi", _deutsch_multi),
 }
 _SCAN_BLOCK = 256  # grid points evaluated per stacked bank, bounding the scan's temporaries
+# subcommand -> (selector, {optional flag: the selector values that read it}), flags in check order;
+# any other value rejects the flag
+_VARIANT_FLAGS = {
+    "scan": ("param", {"a": ("phi",), "phi": ("a",)}),
+    "verify": ("mode", {"orders": ("state",), "dim_b": ("memory",)}),
+    "generate": ("kind", {"dim": ("mub", "random"), "count": ("mub", "random"), "a": ("paper-d3",),
+                          "phi": ("paper-d3",), "seed": ("random",)}),
+}
 
 
 def cmd_bounds(args) -> int:
@@ -112,10 +120,6 @@ def _check_seed(seed: int) -> None:
 
 
 def cmd_verify(args) -> int:
-    if args.mode == "memory" and args.orders is not None:
-        raise ValueError("--orders applies to --mode state only")
-    if args.mode == "state" and args.dim_b is not None:
-        raise ValueError("--dim-b applies to --mode memory only")
     _check_seed(args.seed)
     if args.dim_b is not None and args.dim_b < 1:
         raise ValueError(f"--dim-b must be positive, got {args.dim_b}")
@@ -143,20 +147,7 @@ def cmd_verify(args) -> int:
     return 1
 
 
-# generate flag -> the kinds that read it; any other kind rejects it
-_GENERATE_FLAGS = {
-    "dim": ("mub", "random"),
-    "count": ("mub", "random"),
-    "a": ("paper-d3",),
-    "phi": ("paper-d3",),
-    "seed": ("random",),
-}
-
-
 def cmd_generate(args) -> int:
-    for flag, kinds in _GENERATE_FLAGS.items():
-        if getattr(args, flag) is not None and args.kind not in kinds:
-            raise ValueError(f"--{flag} applies to --kind {' or '.join(kinds)} only")
     if args.count is not None and args.count < 1:
         raise ValueError(f"--count must be positive, got {args.count}")
     if args.kind == "mub":
@@ -233,7 +224,11 @@ def main(argv=None) -> int:
         if argv[0] == "scan" and argv[k - 1] == "--range" and argv[k].startswith("-") and ":" in argv[k]:
             argv[k - 1 : k + 1] = ["--range=" + argv[k]]
     args = build_parser().parse_args(argv)
+    selector, flags = _VARIANT_FLAGS.get(args.command, ("", {}))
     try:
+        for flag, values in flags.items():
+            if getattr(args, flag) is not None and getattr(args, selector) not in values:
+                raise ValueError(f"--{flag.replace('_', '-')} applies to --{selector} {' or '.join(values)} only")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -553,6 +553,19 @@ class TestBuildReports:
             with pytest.raises(ValueError, match="dimension mismatch"):
                 eur.build_reports(mub_chain(2, 3), DensityMatrix(np.eye(3) / 3), orders=orders)
 
+    def test_state_dependent_is_the_verify_kernels_value(self):
+        # both take the first and last bases' Born probabilities from one stacked product, so
+        # `bounds --state` prints the bits that `verify` checks
+        for dim in (2, 3, 4, 5):
+            for n in (2, 3, 4, 5):
+                for seed in range(5):
+                    chain = random_chain(dim, n, seed)
+                    for rank in (1, dim):
+                        rho = eur.random_density_matrix(dim, rank, seed)
+                        value = {r.bound_name: r.value for r in eur.build_reports(chain, rho)}
+                        kernel = _state_gaps(chain, rho.matrix[None])[BoundName.STATE_DEPENDENT][1]
+                        assert value[BoundName.STATE_DEPENDENT] == kernel[0], (dim, n, seed, rank)
+
     def test_best_order_recorded(self):
         chain = random_chain(3, 3, seed=81)
         default = {r.bound_name: r for r in eur.build_reports(chain)}

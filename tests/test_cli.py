@@ -329,6 +329,20 @@ class TestScan:
         assert rc == 2
         assert "--a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--param", "phi", "--a", "0.5", "--phi", "1"], "--phi applies to --param a only"),
+            (["--param", "a", "--phi", "0", "--a", "0.3"], "--a applies to --param phi only"),
+        ],
+    )
+    def test_flags_its_param_does_not_read_are_rejected(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.csv"
+        argv = ["scan", "--family", "paper-d3", *argv, "--range", "0:1", "--steps", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_bound_name(self, tmp_path, capsys):
         rc = self.run_scan(tmp_path / "x.csv", ["--bounds", "tightest"])
         assert rc == 2

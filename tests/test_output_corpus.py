@@ -27,6 +27,15 @@ def test_first_differing_line_is_reported():
         ("verify x", "stdout line 2: 'slack MU_MULTI 2.4e+00' -> 'slack MU_MULTI 2.5e+00'")]
 
 
+def test_every_differing_line_is_reported():
+    parent = _record("verify x", exit=0, stdout="objective_min = 4\nslack MU_MULTI 2.4e+00\nslack SCB_MAX 1.0e+00\n")
+    change = _record("verify x", exit=1, stdout="objective_min = 4\nslack MU_MULTI 2.5e+00\nslack SCB_MAX 1.1e+00\n")
+    assert output_corpus.compare([parent], [change]) == [
+        ("verify x", "exit: 0 -> 1"),
+        ("verify x", "stdout line 2: 'slack MU_MULTI 2.4e+00' -> 'slack MU_MULTI 2.5e+00'"),
+        ("verify x", "stdout line 3: 'slack SCB_MAX 1.0e+00' -> 'slack SCB_MAX 1.1e+00'")]
+
+
 @pytest.mark.parametrize("field,parent,change,message", [
     ("exit", 0, 2, "exit: 0 -> 2"),
     ("stderr", "", "error: bad\n", "stderr line 1: '<none>' -> 'error: bad'"),
@@ -52,7 +61,7 @@ def test_calls_missing_on_either_side_differ():
 
 def test_corpus_size_and_distinct_ids():
     calls = output_corpus.corpus_calls()
-    assert len(calls) == 319
+    assert len(calls) == 321
     assert sum(argv[0] == "bounds" for argv in calls) == 111
     assert sum(argv[0] == "verify" for argv in calls) == 207
     assert len({" ".join(argv) for argv in calls}) == len(calls)

@@ -11,10 +11,10 @@ Each side runs the whole corpus through ``eur.cli.main`` in one child process, w
 thread and that side's ``src`` on ``PYTHONPATH``: the child writes the input files with its own
 tree's generators into its own temporary directory, then records per call the exit code,
 stdout, stderr (its temporary directory replaced by ``<tmp>``) and the sha256 of every file the
-call wrote.  Every call whose record differs is printed with its first differing line; the exit
-code is 1 if any call differs, else 0.  The temporary directories are removed.
+call wrote.  Every call whose record differs is printed with each of its differing lines; the
+exit code is 1 if any call differs, else 0.  The temporary directories are removed.
 
-The corpus (319 calls):
+The corpus (321 calls):
 
 * chains: ``mub_set(d)`` for d = 2, 3, 5, ``mub_set(2, 2)``, and ``generate --kind random`` chains
   with d = 2..4, N = 2..4 and seeds 1 and 11;
@@ -26,7 +26,8 @@ The corpus (319 calls):
 * two edge states: ``verify --mode state`` with default samples on a d = 1 chain, whose Born
   probabilities can round to 1 + 2^-52, and ``bounds --state`` on ``mub_set(2)`` with
   rho = diag(1 + 5e-11, -5e-11), a negative eigenvalue above the constructor's floor;
-* the benchmark's two ``verify`` calls and its 2001-step ``scan``.
+* the benchmark's two ``verify`` calls and its 2001-step ``scan``;
+* two ``scan`` calls that pass the fixed value of the swept parameter as well, which exit 2.
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ def corpus_calls() -> list[list[str]]:
         ["verify", "--input", "mub2.json", "--mode", "memory", "--dim-b", "2", "--seed", "1", "--restarts", "16"],
         ["scan", "--family", "paper-d3", "--param", "phi", "--range", "0:6.283185307179586", "--steps", "2001",
          "--a", "0.3", "--out", "out/scan.csv"],
+        ["scan", "--family", "paper-d3", "--param", "phi", "--range", "0:1", "--steps", "3",  # unread flags
+         "--a", "0.5", "--phi", "1", "--out", "out/x.csv"],
+        ["scan", "--family", "paper-d3", "--param", "a", "--range", "0:1", "--steps", "3",
+         "--phi", "0", "--a", "0.3", "--out", "out/x.csv"],
     ]
 
 
@@ -120,29 +125,35 @@ def run_corpus() -> list[dict]:
         shutil.rmtree(work, ignore_errors=True)
 
 
-def first_difference(parent: dict, change: dict) -> str | None:
-    """The first field in which two records of one call differ, with its first differing line, or None."""
+def differences(parent: dict, change: dict) -> list[str]:
+    """Every difference of two records of one call, field by field: each differing line of a text field,
+    the whole value of any other field."""
+    diffs = []
     for field in FIELDS:
         a, b = parent.get(field), change.get(field)
         if a == b:
             continue
+        lines = []
         if isinstance(a, str) and isinstance(b, str):
-            for k, (la, lb) in enumerate(zip_longest(a.splitlines(), b.splitlines(), fillvalue="<none>")):
-                if la != lb:
-                    return f"{field} line {k + 1}: {la!r} -> {lb!r}"
-        return f"{field}: {a!r} -> {b!r}"  # not text, or only the line endings differ
-    return None
+            pairs = enumerate(zip_longest(a.splitlines(), b.splitlines(), fillvalue="<none>"))
+            lines = [f"{field} line {k + 1}: {la!r} -> {lb!r}" for k, (la, lb) in pairs if la != lb]
+        diffs += lines or [f"{field}: {a!r} -> {b!r}"]  # not text, or only the line endings differ
+    return diffs
+
+
+def first_difference(parent: dict, change: dict) -> str | None:
+    """The first of :func:`differences`, or None."""
+    return next(iter(differences(parent, change)), None)
 
 
 def compare(parent: list[dict], change: list[dict]) -> list[tuple[str, str]]:
-    """(call id, first difference) of every call whose records differ, a call missing on one side included."""
+    """(call id, difference) of every difference of every call, a call missing on one side included."""
     by_id = {r["id"]: r for r in change}
     diffs = []
     for record in parent:
         other = by_id.pop(record["id"], None)
-        diff = "missing on the change side" if other is None else first_difference(record, other)
-        if diff is not None:
-            diffs.append((record["id"], diff))
+        lines = ["missing on the change side"] if other is None else differences(record, other)
+        diffs += [(record["id"], diff) for diff in lines]
     diffs += [(call_id, "missing on the parent side") for call_id in by_id]
     return diffs
 
@@ -182,7 +193,8 @@ def main(argv=None) -> int:
     diffs = compare(parent, change)
     for call_id, diff in diffs:
         print(f"{call_id}: {diff}")
-    print(f"{len(diffs)} of {len(parent)} calls differ (parent {base[:7]}, change: this checkout)")
+    differing = {call_id for call_id, _ in diffs}
+    print(f"{len(differing)} of {len(parent)} calls differ (parent {base[:7]}, change: this checkout)")
     return 1 if diffs else 0
 
 
