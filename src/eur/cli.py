@@ -35,14 +35,16 @@ SCAN_BOUNDS = {
     "deutsch-multi": ("deutsch_multi", _deutsch_multi),
 }
 _SCAN_BLOCK = 256  # grid points evaluated per stacked bank, bounding the scan's temporaries
-# subcommand -> (selector, {optional flag: the selector values that read it}), flags in check order;
-# any other value rejects the flag
+# subcommand -> (selector, {optional flag: the selector values that read it}, the flags that every value
+# reading them requires), flags in check order; any other value rejects the flag
 _VARIANT_FLAGS = {
-    "scan": ("param", {"a": ("phi",), "phi": ("a",)}),
-    "verify": ("mode", {"orders": ("state",), "dim_b": ("memory",)}),
+    "scan": ("param", {"a": ("phi",), "phi": ("a",)}, ("a", "phi")),
+    "verify": ("mode", {"orders": ("state",), "dim_b": ("memory",)}, ()),
     "generate": ("kind", {"dim": ("mub", "random"), "count": ("mub", "random"), "a": ("paper-d3",),
-                          "phi": ("paper-d3",), "seed": ("random",)}),
+                          "phi": ("paper-d3",), "seed": ("random",)}, ("dim", "a", "phi")),
 }
+# integer flag -> its smallest value, for the flags no library function checks before work starts
+_FLOORS = {"count": 1, "seed": 0, "dim_b": 1, "steps": 1}
 
 
 def cmd_bounds(args) -> int:
@@ -71,6 +73,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise ValueError(f"range endpoints must be finite, got {text!r}")
     if not lo <= hi:
         raise ValueError(f"range start must not exceed stop, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"range width must be finite, got {text!r}")
     return lo, hi
 
 
@@ -94,15 +98,9 @@ def cmd_scan(args) -> int:
         if requested.count(name) > 1:
             raise ValueError(f"bound {name!r} requested twice")
     lo, hi = _parse_range(args.range)
-    if args.steps < 1:
-        raise ValueError(f"steps must be >= 1, got {args.steps}")
     if args.param == "a":
-        if args.phi is None:
-            raise ValueError("scanning over a requires a fixed --phi")
         grid = np.linspace(lo, hi, args.steps), np.full(args.steps, args.phi)
     else:
-        if args.a is None:
-            raise ValueError("scanning over phi requires a fixed --a")
         grid = np.full(args.steps, args.a), np.linspace(lo, hi, args.steps)
 
     rows = _scan_rows(*grid, requested)
@@ -114,15 +112,7 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {seed}")
-
-
 def cmd_verify(args) -> int:
-    _check_seed(args.seed)
-    if args.dim_b is not None and args.dim_b < 1:
-        raise ValueError(f"--dim-b must be positive, got {args.dim_b}")
     chain = read_chain(args.input)
     config = MinimizationConfig(restarts=args.restarts, seed=args.seed)
     # The spot checks draw from their own stream, so running them first (a bad
@@ -148,21 +138,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.count is not None and args.count < 1:
-        raise ValueError(f"--count must be positive, got {args.count}")
     if args.kind == "mub":
-        if args.dim is None:
-            raise ValueError("--kind mub requires --dim")
         bases = mub_set(args.dim, args.count)
     elif args.kind == "paper-d3":
-        if args.a is None or args.phi is None:
-            raise ValueError("--kind paper-d3 requires --a and --phi")
         bases = list(parametric_d3_chain(args.a, args.phi))
     else:
-        if args.dim is None:
-            raise ValueError("--kind random requires --dim")
         seed = 0 if args.seed is None else args.seed
-        _check_seed(seed)
         count = args.count if args.count is not None else 3
         bases = [random_basis(args.dim, seed + k) for k in range(count)]
     write_measurement_set(args.out, bases)
@@ -218,17 +199,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     for k in range(len(argv) - 1, 0, -1):  # argparse takes the -1:1 of "--range -1:1" for an option
         if argv[0] == "scan" and argv[k - 1] == "--range" and argv[k].startswith("-") and ":" in argv[k]:
             argv[k - 1 : k + 1] = ["--range=" + argv[k]]
     args = build_parser().parse_args(argv)
-    selector, flags = _VARIANT_FLAGS.get(args.command, ("", {}))
+    selector, flags, required = _VARIANT_FLAGS.get(args.command, ("", {}, ()))
+    variant = getattr(args, selector, None)
+    given = {flag: value for flag, value in vars(args).items() if value is not None}
     try:
         for flag, values in flags.items():
-            if getattr(args, flag) is not None and getattr(args, selector) not in values:
-                raise ValueError(f"--{flag.replace('_', '-')} applies to --{selector} {' or '.join(values)} only")
+            if flag in given and variant not in values:
+                raise ValueError(f"{_option(flag)} applies to --{selector} {' or '.join(values)} only")
+        needed = [flag for flag in required if variant in flags[flag]]
+        if any(flag not in given for flag in needed):
+            raise ValueError(f"--{selector} {variant} requires {' and '.join(map(_option, needed))}")
+        for flag, floor in _FLOORS.items():
+            if given.get(flag, floor) < floor:
+                sign = "positive" if floor else "non-negative"
+                raise ValueError(f"{_option(flag)} must be {sign}, got {given[flag]}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

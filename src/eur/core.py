@@ -134,7 +134,8 @@ class MeasurementBasis(_Frozen):
         # row-major storage, so a basis and its file round trip give bit-identical products
         v = np.ascontiguousarray(_as_square_matrix(vectors, "basis"))
         _check_finite(v, "basis")
-        _check_gram(_inner(v, v))
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge entry gives an inf norm error, not a warning
+            _check_gram(_inner(v, v))
         super().__init__(vectors=_freeze(v), label=label)
 
     @property

@@ -10,6 +10,7 @@ from .core import (
     BipartiteState,
     DensityMatrix,
     MeasurementBasis,
+    _check_same_dim,
     _partial_trace_matrix,
     bipartite_measurement_channel,
 )
@@ -124,8 +125,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     Returns ``math.inf`` when rho has weight outside the support of sigma
     (sigma eigenvalues at or below ``SUPPORT_TOL`` count as its kernel).
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch in relative_entropy: {rho.dim} vs {sigma.dim}")
+    _check_same_dim(rho.dim, sigma.dim, "relative_entropy")
     p, pv = np.linalg.eigh(rho.matrix)
     q, qv = np.linalg.eigh(sigma.matrix)
     p, q = np.where(p < 0.0, 0.0, p), np.where(q < 0.0, 0.0, q)
@@ -154,6 +154,5 @@ def holevo_conditional_entropy(basis: MeasurementBasis, rho: BipartiteState) -> 
     blocks <u_j|rho|u_j>, which ``_memory_entropies`` takes in one batch.
     Agrees with :func:`measured_conditional_entropy`, which dephases the whole state.
     """
-    if basis.dim != rho.dim_a:
-        raise ValueError(f"dimension mismatch in holevo_conditional_entropy: {basis.dim} vs {rho.dim_a}")
+    _check_same_dim(basis.dim, rho.dim_a, "holevo_conditional_entropy")
     return float(_memory_entropies(rho.matrix, rho.dim_a, rho.dim_b, basis.vectors.conj())[1][0])

@@ -349,6 +349,10 @@ MALFORMED_FILES = {
         "set",
         {"format_version": 1, "dim": 2, "bases": [{"vectors": [[[10**400, 0], [0, 0]], _PAIR[1]]}, {"vectors": _PAIR}]},
     ),
+    "basis-entry-huge": (
+        "set",
+        {"format_version": 1, "dim": 2, "bases": [{"vectors": [[[1e200, 0], [0, 0]], _PAIR[1]]}, {"vectors": _PAIR}]},
+    ),
     "basis-entry-bool": (
         "set",
         {"format_version": 1, "dim": 2, "bases": [{"vectors": [[[True, 0], [0, 0]], _PAIR[1]]}, {"vectors": _PAIR}]},

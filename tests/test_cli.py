@@ -391,6 +391,18 @@ class TestScan:
             assert capsys.readouterr().err.splitlines() == [f"error: range endpoints must be finite, got {text!r}"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_range_width_is_one_error_line(self, tmp_path, capsys):
+        """Both endpoints are finite, but STOP - START is not: the range is rejected, not its NaN grid."""
+        argv = [
+            "scan", "--family", "paper-d3", "--param", "phi",
+            "--range", "-1e308:1e308", "--steps", "3", "--a", "0.5", "--out", str(tmp_path / "x.csv"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: range width must be finite, got '-1e308:1e308'"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_of_range_grid_reports_first_bad_point(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         for steps, first_bad in (("3", "1.5"), ("5", "1.25")):
@@ -689,6 +701,39 @@ class TestParser:
                     "--out", str(tmp_path / "x.csv"),
                 ]
             )
+
+
+# (subcommand, arguments, message) of calls that break one flag rule: a flag the variant does not read,
+# a missing required flag, an integer flag below its floor.  "{chain}" is a qubit MUB pair, "{out}" the output.
+_SCAN = ["--family", "paper-d3", "--range", "0:1", "--out", "{out}"]
+_VERIFY = ["--input", "{chain}", "--restarts", "1", "--samples", "1"]
+FLAG_RULE_ERRORS = [
+    ("scan", [*_SCAN, "--param", "phi", "--steps", "3", "--a", "0.5", "--phi", "1"], "--phi applies to --param a only"),
+    ("verify", [*_VERIFY, "--mode", "state", "--dim-b", "2"], "--dim-b applies to --mode memory only"),
+    ("generate", ["--out", "{out}", "--kind", "mub", "--dim", "3", "--seed", "0"],
+     "--seed applies to --kind random only"),
+    ("scan", [*_SCAN, "--param", "a", "--steps", "3"], "--param a requires --phi"),
+    ("scan", [*_SCAN, "--param", "phi", "--steps", "3"], "--param phi requires --a"),
+    ("generate", ["--out", "{out}", "--kind", "mub"], "--kind mub requires --dim"),
+    ("generate", ["--out", "{out}", "--kind", "random", "--count", "2"], "--kind random requires --dim"),
+    ("generate", ["--out", "{out}", "--kind", "paper-d3", "--phi", "0"], "--kind paper-d3 requires --a and --phi"),
+    ("scan", [*_SCAN, "--param", "a", "--steps", "0", "--phi", "0"], "--steps must be positive, got 0"),
+    ("verify", [*_VERIFY, "--mode", "memory", "--dim-b", "-1"], "--dim-b must be positive, got -1"),
+    ("verify", [*_VERIFY, "--mode", "state", "--seed", "-2"], "--seed must be non-negative, got -2"),
+    ("generate", ["--out", "{out}", "--kind", "mub", "--dim", "3", "--count", "0"], "--count must be positive, got 0"),
+    ("generate", ["--out", "{out}", "--kind", "random", "--dim", "3", "--seed", "-1"],
+     "--seed must be non-negative, got -1"),
+]
+
+
+@pytest.mark.parametrize("command, argv, message", FLAG_RULE_ERRORS)
+def test_a_broken_flag_rule_is_one_error_line(tmp_path, capsys, command, argv, message):
+    chain = tmp_path / "chain.json"
+    write_measurement_set(chain, eur.mub_set(2, 2))
+    argv = [arg.format(chain=chain, out=tmp_path / "out") for arg in argv]
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == [chain]
 
 
 def _child(*args):

@@ -14,7 +14,7 @@ stdout, stderr (its temporary directory replaced by ``<tmp>``) and the sha256 of
 call wrote.  Every call whose record differs is printed with each of its differing lines; the
 exit code is 1 if any call differs, else 0.  The temporary directories are removed.
 
-The corpus (321 calls):
+The corpus (344 calls):
 
 * chains: ``mub_set(d)`` for d = 2, 3, 5, ``mub_set(2, 2)``, and ``generate --kind random`` chains
   with d = 2..4, N = 2..4 and seeds 1 and 11;
@@ -27,7 +27,9 @@ The corpus (321 calls):
   probabilities can round to 1 + 2^-52, and ``bounds --state`` on ``mub_set(2)`` with
   rho = diag(1 + 5e-11, -5e-11), a negative eigenvalue above the constructor's floor;
 * the benchmark's two ``verify`` calls and its 2001-step ``scan``;
-* two ``scan`` calls that pass the fixed value of the swept parameter as well, which exit 2.
+* the flag rules' error calls, which exit 2: every rule (a flag the variant does not read, a missing
+  required flag, an integer flag below its floor) on each subcommand that has it, seven calls with
+  more than one error, a ``scan`` range whose width overflows and a basis file with a 1e200 entry.
 """
 
 from __future__ import annotations
@@ -77,10 +79,39 @@ def corpus_calls() -> list[list[str]]:
         ["verify", "--input", "mub2.json", "--mode", "memory", "--dim-b", "2", "--seed", "1", "--restarts", "16"],
         ["scan", "--family", "paper-d3", "--param", "phi", "--range", "0:6.283185307179586", "--steps", "2001",
          "--a", "0.3", "--out", "out/scan.csv"],
-        ["scan", "--family", "paper-d3", "--param", "phi", "--range", "0:1", "--steps", "3",  # unread flags
-         "--a", "0.5", "--phi", "1", "--out", "out/x.csv"],
-        ["scan", "--family", "paper-d3", "--param", "a", "--range", "0:1", "--steps", "3",
-         "--phi", "0", "--a", "0.3", "--out", "out/x.csv"],
+    ] + flag_rule_calls()
+
+
+def flag_rule_calls() -> list[list[str]]:
+    """The calls that break a flag rule of ``eur.cli.main``, grouped by rule, then the two overflows."""
+    scan, verify = ["scan", "--family", "paper-d3"], ["verify", "--input", "mub2.json"]
+    csv, gen = ["--out", "out/x.csv"], ["generate", "--out", "out/x.json", "--kind"]
+    return [
+        [*scan, "--param", "phi", "--range", "0:1", "--steps", "3", "--a", "0.5", "--phi", "1", *csv],  # unread
+        [*scan, "--param", "a", "--range", "0:1", "--steps", "3", "--phi", "0", "--a", "0.3", *csv],
+        [*verify, "--mode", "state", "--dim-b", "2"],
+        [*verify, "--mode", "memory", "--orders", "min"],
+        [*gen, "mub", "--dim", "3", "--seed", "0"],
+        [*scan, "--param", "a", "--range", "0:1", "--steps", "3", *csv],  # missing
+        [*scan, "--param", "phi", "--range", "0:1", "--steps", "3", *csv],
+        [*gen, "mub"],
+        [*gen, "random"],
+        [*gen, "paper-d3", "--a", "0.5"],
+        [*gen, "paper-d3", "--phi", "0.5"],
+        [*scan, "--param", "a", "--range", "0:1", "--steps", "0", "--phi", "0", *csv],  # below the floor
+        [*verify, "--mode", "memory", "--dim-b", "0"],
+        [*verify, "--mode", "state", "--seed", "-3"],
+        [*gen, "random", "--dim", "3", "--count", "0"],
+        [*gen, "random", "--dim", "3", "--seed", "-3"],
+        [*scan, "--param", "a", "--range", "0:1", "--steps", "-2", *csv],  # more than one error
+        [*scan, "--param", "a", "--range", "1:0", "--steps", "3", *csv],
+        [*scan, "--param", "a", "--range", "0:1", "--steps", "3", "--bounds", "zz", *csv],
+        [*scan, "--param", "a", "--range", "0:1", "--steps", "0", "--bounds", "zz", *csv],
+        [*scan, "--param", "a", "--range", "0:1", "--steps", "0", "--bounds", "zz", "--phi", "0", *csv],
+        [*scan, "--param", "a", "--range", "1:0", "--steps", "0", "--phi", "0", *csv],
+        [*gen, "mub", "--count", "0"],
+        [*scan, "--param", "phi", "--range=-1e308:1e308", "--steps", "3", "--a", "0.5", *csv],  # overflows
+        ["bounds", "--input", "huge.json"],
     ]
 
 
@@ -105,6 +136,8 @@ def run_corpus() -> list[dict]:
             write_density_matrix(f"rho{d}.json", random_density_matrix(d, d, 100 + d))
         write_measurement_set("d1.json", [computational_basis(1)] * 2)
         write_density_matrix("rho_edge.json", DensityMatrix(np.diag([1.0 + 5e-11, -5e-11])))
+        huge = [[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]
+        Path("huge.json").write_text(json.dumps({"format_version": 1, "dim": 2, "bases": [{"vectors": huge}] * 2}))
         records = []
         for argv in corpus_calls():
             out, err = io.StringIO(), io.StringIO()
