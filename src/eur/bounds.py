@@ -12,20 +12,22 @@ Both read the chain's tables from its bank ``chain.overlaps`` and depend on
 the order in which the bases are chained.  Each is written once as a start, a
 step and a closing step, which the fixed-order bound folds along the input
 order and the ``*_best_order`` variants run through one search over index
-orders, sharing prefixes: each first pair's orders grow level by level as one
-batch, so its frontier of at most (N - 2)! prefixes takes each step in one
-call; ``eur scan`` runs the same steps on a stack of banks.  The other
-bounds (two-measurement, max-of-pairwise-sums SCB, weighted three-measurement,
-state-dependent and quantum-memory forms) also add a state term in S(rho) or
-S(A|B) to a constant of the bank, for two measurements a pair term
--log2 c(M_i, M_j) (``_pair_bounds``); the state-dependent one is in closed form,
-with no sigma built.  The gap kernels ``_state_gaps`` and ``_memory_gaps`` give
+orders, sharing prefixes: a root fixes the first pair, and for the Deutsch
+search the last index, and its orders grow level by level as one batch, each
+level one step on at most (N - 2)! (MU) or (N - 3)! (Deutsch) vectors; ties go
+to the lexicographically first order.  ``eur scan`` runs the same steps on a
+stack of banks.  The other bounds (two-measurement, max-of-pairwise-sums SCB,
+weighted three-measurement, state-dependent and quantum-memory forms) also add
+a state term in S(rho) or S(A|B) to a constant of the bank, for two
+measurements a pair term -log2 c(M_i, M_j) (``_pair_bounds``); the
+state-dependent one is in closed form, with no sigma built.  The gap kernels ``_state_gaps`` and ``_memory_gaps`` give
 every bound's left-hand side and value on a stack of states, from one product
 for the outcome distributions and one stacked ``eigvalsh`` per kind of state.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from enum import Enum
 from itertools import permutations
@@ -139,50 +141,36 @@ def _fold(steps, order):
     return close(order[0], order[-1], v)
 
 
-def _search(n: int, steps, roots, cyclic: bool = False) -> tuple[float, tuple[int, ...]]:
-    """Order with the largest -log2 of its closing value, over index orders grouped by first pair.
+def _search(n: int, steps, roots) -> tuple[float, tuple[int, ...]]:
+    """Order with the largest -log2 of its closing value, the lexicographically first of equal ones.
 
-    ``roots`` yields first pairs (i, j) in visiting order with a floor on the closing value of
-    their completions; a root whose floor reaches the incumbent's could only tie and is skipped.
-    The rest expand level by level as a batched frontier: the (P, m) array of prefixes gains one
-    index per level, each prefix's children in increasing index, through one :func:`_fold` step
-    on the stack of their vectors, so the leaves come in ``permutations`` order and the first
-    largest leaf in that order wins.  The frontier holds one root's subtree at a time, at most
-    (N - 2)! leaves.
-
-    A ``cyclic`` closing value is invariant under reversing the order after its first index, so
-    of each such pair only the order whose last index exceeds its second is visited (for N = 2
-    the two are one index, and its one order stays).  Each prefix keeps the count of its free
-    indices above j, the root's second index: a root with none is skipped, and a child that would
-    take the last of them while other indices stay free is never grown.  The survivors keep
-    ``permutations`` order, so the tie rule holds over them.
+    A root (head, tail, floor) stands for the orders head + p + tail: ``head`` a first pair, p every
+    permutation of the indices in neither, ``tail`` of one length in every root.  A root whose floor
+    on the closing values reaches the incumbent's could only tie and is skipped, so roots with a
+    floor above 0 must come in lexicographic order.  Each root lays its orders out in
+    ``permutations`` order, so the distinct prefixes of each length are evenly spaced rows: a level
+    repeats the prefix vectors once per child and takes one :func:`_fold` step on their stack.
     """
     start, step, close = steps
+    t = n - len(roots[0][1])  # the free indices fill positions 2 .. t - 1
+    free = np.fromiter(itertools.chain.from_iterable(permutations(range(2, t))), np.int8)
+    places = np.tile(np.arange(n, dtype=np.int8), (math.factorial(t - 2), 1))  # int8 holds any feasible N
+    places[:, 2:t] = free.reshape(len(places), t - 2)
     best_val, best_order, best_x = -math.inf, None, math.inf
-    cols = np.arange(n)
-    for (i, j), floor in roots:
+    for head, tail, floor in roots:
         if floor >= best_x:
             continue
-        lo = j if cyclic else -1  # without reversal every free index can close the order
-        free = np.ones((1, n), dtype=bool)
-        free[0, [i, j]] = False
-        above = np.count_nonzero(free[:, lo + 1 :], axis=1)
-        if n > 2 and not above[0]:
-            continue
-        orders, v = np.array([[i, j]]), start[i, j][None]
-        for m in range(3, n + 1):
-            grow = free if m == n else free & ((above > 1)[:, None] | (cols <= lo))
-            p, k = np.nonzero(grow)
-            v = step(v[p], orders[p, -1], k)
-            orders = np.column_stack((orders[p], k))
-            free = free[p]
-            free[np.arange(k.size), k] = False
-            above = above[p] - (k > lo)
+        orders = np.array([*head, *sorted(set(range(n)) - {*head, *tail}), *tail], dtype=np.int8)[places]
+        v = start[head][None]
+        for m in range(2, n):
+            rows = orders[:: math.factorial(max(t - 1 - m, 0))]
+            v = step(np.repeat(v, len(rows) // len(v), axis=0), rows[:, m - 1], rows[:, m])
         x = close(orders[:, 0], orders[:, -1], v)
         val = _neg_log2(x)
         best = int(np.argmax(val))
-        if val[best] > best_val:
-            best_val, best_order, best_x = float(val[best]), tuple(orders[best].tolist()), x[best]
+        order = tuple(orders[best].tolist())
+        if val[best] > best_val or val[best] == best_val and order < best_order:
+            best_val, best_order, best_x = float(val[best]), order, x[best]
     return best_val, best_order
 
 
@@ -351,12 +339,14 @@ def _memory_gaps(chain: MeasurementChain, joints: np.ndarray, dim_b: int) -> dic
 def deutsch_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tuple[int, ...]]:
     """Best Deutsch-type bound over the distinct cyclic orderings of the chain.
 
-    The product is invariant under rotation and reversal, so basis 0 goes first and the search
-    visits one order of each reversed pair (second index below the last), (N - 1)!/2 orders in
-    all, and 1 for N = 2.  Nothing is pruned.
+    The product is invariant under rotation and reversal, so basis 0 goes first and of each
+    reversed pair only the order whose second index is below its last is visited: one root with
+    head (0, j) and tail (l,) for every 1 <= j < l <= N - 1, (N - 1)!/2 orders in all, and the one
+    order (0, 1) for N = 2.  Nothing is pruned; of equal values the lexicographically first order wins.
     """
     n = len(chain)
-    return _search(n, _deutsch_steps(chain.overlaps), (((0, j), 0.0) for j in range(1, n)), cyclic=True)
+    roots = [((0, j), (l,), 0.0) for j in range(1, n) for l in range(j + 1, n)] or [((0, 1), (), 0.0)]
+    return _search(n, _deutsch_steps(chain.overlaps), roots)
 
 
 def mu_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tuple[int, ...]]:
@@ -372,7 +362,7 @@ def mu_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tuple[int
     steps = _mu_steps(bank)
     growth = float(bank.sum(axis=3).min()) ** (n - 2) / d * (1.0 - 4.0 * n * d * np.finfo(float).eps)
     floors = (steps[0].sum(axis=(2, 3)) * growth).tolist()
-    return _search(n, steps, (((i, j), floors[i][j]) for i, j in permutations(range(n), 2)))
+    return _search(n, steps, [((i, j), (), floors[i][j]) for i, j in permutations(range(n), 2)])
 
 
 def build_reports(

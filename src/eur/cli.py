@@ -26,14 +26,10 @@ from .verifier import (
     spot_check_inequalities,
 )
 
-# CLI bound name -> (CSV column, bound of every chain of a (..., N, N, d, d) overlap bank,
-# through the contraction steps of its single-chain bound).  The scan reports the
-# order-optimized contraction bound so the columns are comparable.
-SCAN_BOUNDS = {
-    "mu-multi": ("mu_multi", _mu_multi_best),
-    "scb-max": ("scb_max", _scb_max),
-    "deutsch-multi": ("deutsch_multi", _deutsch_multi),
-}
+# CLI bound name -> bound of every chain of a (..., N, N, d, d) overlap bank, through the
+# contraction steps of its single-chain bound; its CSV column is the name with "_" for "-".
+# The scan reports the order-optimized contraction bound so the columns are comparable.
+SCAN_BOUNDS = {"mu-multi": _mu_multi_best, "scb-max": _scb_max, "deutsch-multi": _deutsch_multi}
 _SCAN_BLOCK = 256  # grid points evaluated per stacked bank, bounding the scan's temporaries
 # subcommand -> (selector, {optional flag: the selector values that read it}, the flags that every value
 # reading them requires), flags in check order; any other value rejects the flag
@@ -84,7 +80,7 @@ def _scan_rows(a: np.ndarray, phi: np.ndarray, requested: list[str]) -> list[tup
     for start in range(0, a.size, _SCAN_BLOCK):
         block = a[start : start + _SCAN_BLOCK], phi[start : start + _SCAN_BLOCK]
         bank = _overlap_bank(_paper_d3_vectors(*block))
-        rows += zip(*(c.tolist() for c in [*block] + [SCAN_BOUNDS[name][1](bank) for name in requested]))
+        rows += zip(*(c.tolist() for c in [*block] + [SCAN_BOUNDS[name](bank) for name in requested]))
     return rows
 
 
@@ -104,7 +100,7 @@ def cmd_scan(args) -> int:
         grid = np.full(args.steps, args.a), np.linspace(lo, hi, args.steps)
 
     rows = _scan_rows(*grid, requested)
-    header = ",".join(["a", "phi"] + [SCAN_BOUNDS[name][0] for name in requested])
+    header = ",".join(["a", "phi"] + [name.replace("-", "_") for name in requested])
     # "%.12g" % x and format(x, ".12g") give the same bytes; one format per row, one write
     row_format = ",".join(["%.12g"] * (2 + len(requested))) + "\n"
     _write_text(args.out, header + "\n" + "".join(row_format % row for row in rows))

@@ -24,6 +24,8 @@ def _as_square_matrix(m, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square 2-D array, got shape {m.shape}")
+    if m.size == 0:
+        raise ValueError(f"{name} must be non-empty, got shape {m.shape}")
     return m
 
 

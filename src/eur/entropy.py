@@ -65,10 +65,17 @@ def _entropy_rows_of_order(p: np.ndarray, alpha: float) -> np.ndarray:
         return np.maximum(-(q * np.log2(q)).sum(axis=-1), 0.0)
     if math.isinf(alpha):
         return np.maximum(-np.log2(p.max(axis=-1)), 0.0)
-    # log2(sum p^alpha) computed as log1p(sum (p^alpha - p)) to stay accurate
-    # when alpha is close to 1 and the power sum is close to 1.
-    delta = (np.power(p, alpha) - p).sum(axis=-1)
-    return np.maximum(np.log1p(delta) / ((1.0 - alpha) * math.log(2.0)), 0.0)
+    # log(sum p^alpha) computed as log1p(sum (p^alpha - p)) to stay accurate when alpha is close
+    # to 1 and the power sum is close to 1.  A power sum below 2^-26 keeps too few digits next to 1
+    # (or underflows to 0, giving log 0), so there it is alpha log m + log sum (p/m)^alpha, m = max p.
+    power = np.power(p, alpha)
+    tiny = power.sum(axis=-1) < 2.0**-26
+    log_sum = np.log1p(np.where(tiny, 0.0, (power - p).sum(axis=-1)))
+    if tiny.any():
+        m = p.max(axis=-1, keepdims=True)
+        scaled = alpha * np.log(m[..., 0]) + np.log(np.power(p / m, alpha).sum(axis=-1))
+        log_sum = np.where(tiny, scaled, log_sum)
+    return np.maximum(log_sum / ((1.0 - alpha) * math.log(2.0)), 0.0)
 
 
 def _plogp_sum(p: np.ndarray) -> float:

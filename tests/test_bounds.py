@@ -411,6 +411,28 @@ class TestOrderSearch:
             assert eur.deutsch_multi_bound_best_order(chain) == want
             assert sum(closed) == (1 if n == 2 else math.factorial(n - 1) // 2)
 
+    @pytest.mark.parametrize("name,search,fixed", [
+        ("_deutsch_steps", eur.deutsch_multi_bound_best_order, 3),  # a root fixes the first pair and the last index
+        ("_mu_steps", eur.mu_multi_bound_best_order, 2),  # a root fixes the first pair
+    ], ids=["deutsch", "mu"])
+    def test_search_stacks_one_subtree_of_free_indices(self, monkeypatch, name, search, fixed):
+        stacked, steps = [], getattr(eur.bounds, name)
+
+        def recording_steps(bank):
+            start, step, close = steps(bank)
+
+            def recorded_step(v, i, j):
+                stacked.append(len(v))
+                return step(v, i, j)
+
+            return start, recorded_step, close
+
+        monkeypatch.setattr(eur.bounds, name, recording_steps)
+        for n in range(3, 9):
+            stacked.clear()
+            search(random_chain(2, n, seed=1550 + n))
+            assert max(stacked) == math.factorial(n - fixed)
+
     def test_mu_best_order_dominates_input_order(self):
         for seed in range(10):
             chain = random_chain(3, 3, seed=750 + seed)

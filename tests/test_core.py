@@ -83,6 +83,13 @@ class TestMeasurementBasis:
         assert basis.vectors[1, 0] == 1e-10
 
 
+@pytest.mark.parametrize("make,name", [(DensityMatrix, "density matrix"), (MeasurementBasis, "basis")])
+def test_empty_matrix_is_rejected(make, name):
+    with pytest.raises(ValueError) as exc:
+        make(np.zeros((0, 0)))
+    assert str(exc.value) == f"{name} must be non-empty, got shape (0, 0)"
+
+
 class TestMeasurementChain:
     def test_requires_two_bases(self):
         with pytest.raises(ValueError, match="N >= 2"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,20 @@ class TestRenyi:
     def test_uniform_is_order_independent(self):
         for alpha in (0.5, 1.0, 2.0, math.inf):
             assert eur.renyi_entropy([0.25] * 4, alpha) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [60.0, 200.0, 1e4, 1e300])
+    @pytest.mark.parametrize("p", [[0.5, 0.5], [0.25, 0.75], [0.1, 0.2, 0.7]])
+    def test_large_finite_orders(self, p, alpha):
+        # sum p^alpha underflows next to 1, where the log1p form alone would give log 0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            power_sum = sum(mpmath.mpf(x) ** mpmath.mpf(alpha) for x in p)
+            want = float(mpmath.log(power_sum, 2) / (1 - mpmath.mpf(alpha)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eur.renyi_entropy(p, alpha)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, abs=1e-10)
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError, match="order"):

@@ -14,15 +14,18 @@ stdout, stderr (its temporary directory replaced by ``<tmp>``) and the sha256 of
 call wrote.  Every call whose record differs is printed with each of its differing lines; the
 exit code is 1 if any call differs, else 0.  The temporary directories are removed.
 
-The corpus (344 calls):
+The corpus (348 calls):
 
 * chains: ``mub_set(d)`` for d = 2, 3, 5, ``mub_set(2, 2)``, and ``generate --kind random`` chains
   with d = 2..4, N = 2..4 and seeds 1 and 11;
-* on every chain, ``bounds`` plain, ``--best-order``, ``--orders min``, ``--state`` and
+* on each of these chains, ``bounds`` plain, ``--best-order``, ``--orders min``, ``--state`` and
   ``--state --best-order``, the state a seeded full-rank ``random_density_matrix``;
-* on every chain and with ``--seed`` 0 and 1, ``verify --mode state --restarts 16``,
+* on each of these chains and with ``--seed`` 0 and 1, ``verify --mode state --restarts 16``,
   ``--orders min --restarts 8``, and ``--mode memory --restarts 8`` with d_B = 1, 2, 3 where
   d d_B <= 9;
+* two deep ``generate --kind random`` chains (``DEEP_CHAINS``), d = 2 with N = 7 and d = 3 with
+  N = 8, seed 1, with only ``bounds --best-order`` and ``--state --best-order``: order searches
+  whose roots run several levels deep;
 * two edge states: ``verify --mode state`` with default samples on a d = 1 chain, whose Born
   probabilities can round to 1 + 2^-52, and ``bounds --state`` on ``mub_set(2)`` with
   rho = diag(1 + 5e-11, -5e-11), a negative eigenvalue above the constructor's floor;
@@ -49,6 +52,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("exit", "stdout", "stderr", "files")
+DEEP_CHAINS = {"rnd_d2_n7_s1": ("random", 2, 7, 1), "rnd_d3_n8_s1": ("random", 3, 8, 1)}  # searched only
 
 
 def corpus_chains() -> dict:
@@ -59,7 +63,7 @@ def corpus_chains() -> dict:
         for n in (2, 3, 4):
             for seed in (1, 11):
                 chains[f"rnd_d{d}_n{n}_s{seed}"] = ("random", d, n, seed)
-    return chains
+    return chains | DEEP_CHAINS
 
 
 def corpus_calls() -> list[list[str]]:
@@ -67,6 +71,9 @@ def corpus_calls() -> list[list[str]]:
     calls = []
     for stem, (_, d, _, _) in corpus_chains().items():
         chain, state = ["--input", f"{stem}.json"], ["--state", f"rho{d}.json"]
+        if stem in DEEP_CHAINS:
+            calls += [["bounds", *chain, "--best-order"], ["bounds", *chain, *state, "--best-order"]]
+            continue
         for flags in ([], ["--best-order"], ["--orders", "min"], state, [*state, "--best-order"]):
             calls.append(["bounds", *chain, *flags])
         runs = [["--mode", "state", "--restarts", "16"], ["--mode", "state", "--orders", "min", "--restarts", "8"]]
