@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import pickle
 import sys
+import warnings
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .fileio import _write_text, read_chain, read_density_matrix, write_measurem
 from .generators import _paper_d3_vectors, mub_set, parametric_d3_chain, random_basis
 from .verifier import (
     MinimizationConfig,
+    _check_samples,
     _slacks_hold,
     minimize_conditional_entropy_sum,
     minimize_entropy_sum,
@@ -108,17 +111,78 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on; 1 where the platform does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _beside(here, there):
+    """``(here(), there())``, with ``there`` run in a forked worker while ``here`` runs in this process.
+
+    The worker is a copy of this process, so it computes the bits a call in process would and
+    starts without importing anything (a spawned interpreter would import numpy again).  It
+    pickles ``(True, result)`` or ``(False, exception)`` into a pipe and always ends with
+    ``os._exit(0)``: no buffered output is flushed twice and no at-exit handler runs.  The
+    worker's exception is raised again here.  The worker is reaped before this returns, and
+    killed first if anything raises here, ``KeyboardInterrupt`` included.  Without ``os.fork``,
+    with fewer than two CPUs, or when ``os.fork`` fails, both run in this process, ``here``
+    first, so that an exception of ``here`` wins either way.
+    """
+    if not hasattr(os, "fork") or _cpus() < 2:
+        return here(), there()
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():  # Python 3.12+ warns of forking beside BLAS threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return here(), there()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            try:
+                message = pickle.dumps((True, there()))
+            except BaseException as exc:
+                message = pickle.dumps((False, exc))
+            with open(write_end, "wb") as pipe:
+                pipe.write(message)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        try:
+            mine = here()
+            ok, theirs = pickle.load(pipe)
+        except BaseException:
+            import signal  # off the start-up path: needed only to stop a worker
+
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(pid, 0)
+    if not ok:
+        raise theirs
+    return mine, theirs
+
+
 def cmd_verify(args) -> int:
+    """Minimize the entropy sum and spot-check every inequality, then print both and the verdict.
+
+    The spot checks draw from their own random stream and do not depend on the minimizer, so
+    they run in a forked worker beside it where the process may use two CPUs (``_beside``); the
+    output is the same either way.  A bad ``--samples`` is rejected before either starts.
+    """
     chain = read_chain(args.input)
     config = MinimizationConfig(restarts=args.restarts, seed=args.seed)
-    # The spot checks draw from their own stream, so running them first (a bad
-    # --samples fails before any minimization) changes no output.
-    spots = spot_check_inequalities(chain, samples=args.samples, seed=args.seed)
+    _check_samples(args.samples)
     if args.mode == "state":
-        orders = math.inf if args.orders == "min" else 1.0
-        result = minimize_entropy_sum(chain, orders, config)
+        minimize, target = minimize_entropy_sum, math.inf if args.orders == "min" else 1.0
     else:
-        result = minimize_conditional_entropy_sum(chain, 2 if args.dim_b is None else args.dim_b, config)
+        minimize, target = minimize_conditional_entropy_sum, 2 if args.dim_b is None else args.dim_b
+    result, spots = _beside(lambda: minimize(chain, target, config),
+                            lambda: spot_check_inequalities(chain, samples=args.samples, seed=args.seed))
 
     print(f"objective_min = {result.objective_min:.12g}")
     print(f"converged restarts: {result.converged_restarts}/{config.restarts}")

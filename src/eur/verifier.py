@@ -30,6 +30,11 @@ smaller Gram matrix of the amplitude matrix.
 The spot checks (drawn and evaluated a block at a time), memory mode's mixed
 samples and the minimizers' slacks read every bound's left-hand side and value
 from the gap kernels ``bounds._state_gaps`` and ``bounds._memory_gaps``.
+
+The spot checks are independent of the minimizers: they draw from their own
+random stream and read nothing the minimizers compute, so ``eur verify`` may
+run them in a forked worker beside the minimizer.  The functions here all run
+serially in the calling process.
 """
 
 from __future__ import annotations
@@ -177,14 +182,19 @@ def _pure_objective(chain: MeasurementChain, ords: list[float], weights: list[fl
     """Weighted entropy sum sum_m weights[m] H_{ords[m]}(M_m) as a function of the state angles.
 
     The orders were validated by ``_broadcast_orders``; each evaluation is one
-    product with the stacked bases and one call of the row-entropy kernel.
+    product with the stacked bases and one call of the row-entropy kernel.  A lone
+    row is multiplied as two copies of itself: BLAS takes its matrix-vector path for
+    one row, which rounds differently from a batch's, and a restart's value would
+    then depend on which other restarts share its evaluations.
     """
     bras = _stacked_bras(chain)
     n, dim = len(chain), chain.dim
     weights = np.array(weights, dtype=float)
 
     def objective(x):
-        probs = np.abs(_state_from_angles(x, dim) @ bras.T) ** 2
+        psi = _state_from_angles(x, dim)
+        amps = (np.concatenate([psi, psi]) @ bras.T)[:1] if len(psi) == 1 else psi @ bras.T
+        probs = np.abs(amps) ** 2
         return (_entropy_rows(probs.reshape(-1, n, dim), ords) * weights).sum(axis=-1)
 
     return objective
@@ -298,6 +308,12 @@ def _spot_states(rng: np.random.Generator, d: int, count: int):
     return rhos, joints
 
 
+def _check_samples(samples: int) -> None:
+    """Reject a spot check of fewer than one round."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+
+
 def spot_check_inequalities(chain: MeasurementChain, samples: int = 200, seed: int = 0) -> dict:
     """Evaluate every inequality on random states; return the worst slack per bound.
 
@@ -305,8 +321,7 @@ def spot_check_inequalities(chain: MeasurementChain, samples: int = 200, seed: i
     and mixed bipartite states with a memory of the chain's own dimension.
     Rounds are drawn and then evaluated together, ``SPOT_BLOCK`` at a time.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_samples(samples)
     rng = np.random.default_rng([seed, 4])
     worst: dict = {}
     for start in range(0, samples, SPOT_BLOCK):

@@ -1,9 +1,11 @@
+import errno
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from itertools import combinations
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import eur
-from eur import cli
+from eur import cli, verifier
 from eur.cli import main
 from eur.fileio import read_measurement_set, write_density_matrix, write_measurement_set
 from helpers import MALFORMED_FILES, SCAN_ORACLE, loop_scan_rows, scan_csv, tilted_qubit_chain_and_state, write_malformed
@@ -685,6 +687,103 @@ class TestVerify:
         )
         assert rc == 2
         assert "restarts" in capsys.readouterr().err
+
+
+class TestSpotWorker:
+    """``verify`` runs its spot checks in a forked worker beside the minimizer where two CPUs are
+    available; on one CPU, and where ``os.fork`` fails, it runs them in process with the same output.
+    No call leaves a child process behind."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """One entry per fork of this process, added before the fork."""
+        calls, fork = [], os.fork
+
+        def counting():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        return calls
+
+    @staticmethod
+    def _chain(tmp_path, mode):
+        (dim, count), argv, _ = GOLDEN_VERIFY[mode]
+        path = tmp_path / "chain.json"
+        write_measurement_set(path, eur.mub_set(dim, count))
+        return ["verify", "--input", str(path), *argv]
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def _worker_then_serial(self, argv, capsys, monkeypatch, forks):
+        """(exit code, stdout, stderr) of ``argv`` with the worker, then on the serial path."""
+        runs = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
+            before = len(forks)
+            runs.append((main(argv), *capsys.readouterr()))
+            assert len(forks) - before == (cpus == 2)
+            self._assert_no_child_left()
+        return runs
+
+    @pytest.mark.parametrize("mode", ["state", "memory", "state-min", "memory-dim-b-3"])
+    def test_worker_prints_the_serial_bytes(self, tmp_path, capsys, monkeypatch, forks, mode):
+        """The benchmark's two calls, an ``--orders min`` call and a d_B = 3 memory call."""
+        worker, serial = self._worker_then_serial(self._chain(tmp_path, mode), capsys, monkeypatch, forks)
+        assert worker == serial
+        assert worker[0] == 0 and worker[1].endswith("CERTIFIED\n")
+
+    def test_failing_verdict_is_the_serial_one(self, tmp_path, capsys, monkeypatch, forks):
+        monkeypatch.setattr(verifier, "CERTIFICATION_TOL", -10.0)
+        argv = self._chain(tmp_path, "state-weighted")
+        worker, serial = self._worker_then_serial(argv, capsys, monkeypatch, forks)
+        assert worker == serial
+        assert worker[0] == 1 and worker[1].endswith("VERIFICATION FAILED\n")
+
+    def test_worker_error_is_one_error_line(self, tmp_path, capsys, monkeypatch, forks):
+        def broken(*args, **kwargs):
+            raise ValueError("spot checks failed")
+
+        monkeypatch.setattr(cli, "spot_check_inequalities", broken)
+        argv = self._chain(tmp_path, "memory")
+        worker, serial = self._worker_then_serial(argv, capsys, monkeypatch, forks)
+        assert worker == serial == (2, "", "error: spot checks failed\n")
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_minimizer_error_kills_and_reaps_the_worker(self, tmp_path, monkeypatch, forks, error):
+        """The worker would sleep for a minute; the parent's exception ends it at once."""
+        def broken(*args, **kwargs):
+            raise error("minimizer failed")
+
+        def sleeping(*args, **kwargs):
+            time.sleep(60.0)
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "minimize_entropy_sum", broken)
+        monkeypatch.setattr(cli, "spot_check_inequalities", sleeping)
+        start = time.monotonic()
+        with pytest.raises(error, match="minimizer failed"):
+            main(self._chain(tmp_path, "state-weighted"))
+        assert time.monotonic() - start < 30.0
+        assert len(forks) == 1
+        self._assert_no_child_left()
+
+    def test_failed_fork_runs_the_spot_checks_in_process(self, tmp_path, capsys, monkeypatch):
+        def failing():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        argv = self._chain(tmp_path, "state-weighted")
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        serial = (main(argv), *capsys.readouterr())
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", failing)
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        assert (main(argv), *capsys.readouterr()) == serial
+        assert sorted(os.listdir("/proc/self/fd")) == descriptors  # the pipe is closed
+        assert serial[0] == 0
 
 
 class TestParser:

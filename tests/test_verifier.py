@@ -377,6 +377,22 @@ class TestNelderMead:
         if max_iterations == 150:
             assert any(cut) and not success.all()
 
+    @pytest.mark.parametrize("chain", [mub_chain(2, 3), mub_chain(3, 4), random_chain(3, 3, seed=7),
+                                       random_chain(4, 2, seed=11)], ids=["mub2", "mub3", "rnd3", "rnd4"])
+    @pytest.mark.parametrize("order", [1.0, math.inf])
+    def test_state_restarts_do_not_depend_on_their_batch(self, chain, order):
+        """On the state objective, the batch split at 1, 8 and 15 rows runs bit for bit as the
+        whole batch: a restart's trajectory does not depend on which restarts share its
+        evaluations, also when it is evaluated alone."""
+        n, dim = len(chain), chain.dim
+        objective = _pure_objective(chain, [order] * n, [1.0] * n)
+        x0 = np.random.default_rng(dim * n).uniform(-2.0, 2.0, size=(16, 2 * dim - 2))
+        whole = _nelder_mead(objective, x0, 2000)
+        for k in (1, 8, 15):
+            parts = zip(_nelder_mead(objective, x0[:k], 2000), _nelder_mead(objective, x0[k:], 2000))
+            for split, same in zip(parts, whole):
+                np.testing.assert_array_equal(np.concatenate(split), same)
+
     def test_empty_search_space(self):
         """With n = 0 each restart's one point is evaluated once and counts as converged."""
         rows = []
