@@ -16,13 +16,31 @@ orders, sharing prefixes: a root fixes the first pair, and for the Deutsch
 search the last index, and its orders grow level by level as one batch, each
 level one step on at most (N - 2)! (MU) or (N - 3)! (Deutsch) vectors; ties go
 to the lexicographically first order.  ``eur scan`` runs the same steps on a
-stack of banks.  The other bounds (two-measurement, max-of-pairwise-sums SCB,
-weighted three-measurement, state-dependent and quantum-memory forms) also add
-a state term in S(rho) or S(A|B) to a constant of the bank, for two
-measurements a pair term -log2 c(M_i, M_j) (``_pair_bounds``); the
-state-dependent one is in closed form, with no sigma built.  The gap kernels ``_state_gaps`` and ``_memory_gaps`` give
-every bound's left-hand side and value on a stack of states, from one product
-for the outcome distributions and one stacked ``eigvalsh`` per kind of state.
+stack of banks.
+
+A bound with a state term adds S(rho) or S(A|B), times a count, to a constant
+of the bank.  Each such bound is written once, in the value function of its
+mode, for a stack of states:
+
+* ``_state_bounds``: MU_MULTI, -log2 b + (N - 1) S(rho); STATE_DEPENDENT, in
+  closed form with no sigma built; SCB_MAX, the best of the pair terms
+  -log2 c(M_i, M_j) (``_pair_bounds``) and the input-order cycle
+  (``_scb_max``, which the scan also runs); MU_TWO of the first two bases; and
+  WEIGHTED for N = 3.
+* ``_memory_bounds``: MEMORY_MULTI, MEMORY_PURE and BERTA_TWO.
+
+``build_reports`` reads every value after DEUTSCH_MULTI from one
+``_state_bounds`` call, the searched MU constant passed in under
+``best_order``.  The chain-taking public functions validate their input and
+read one state's value from the same functions.  The gap kernels
+``_state_gaps`` and ``_memory_gaps`` pair the values with each bound's
+left-hand side, from one product for the outcome distributions and one stacked
+``eigvalsh`` per kind of state.  The two- and three-basis functions
+(``mu_two_bound``, ``weighted_bound``, ``berta_two_bound``) take bases, not a
+chain, so they build their own tables through ``max_overlap`` and
+``overlap_table``: a chain made of their bases would change their
+mismatched-basis message, and the benchmark's tracer wraps the name
+``overlap_table`` in this module.
 """
 
 from __future__ import annotations
@@ -198,7 +216,7 @@ def mu_multi_bound(chain: MeasurementChain) -> float:
 
 def mu_multi_bound_with_state(chain: MeasurementChain, rho: DensityMatrix) -> float:
     """Mixed-state form: -log2 b + (N - 1) S(rho)."""
-    return mu_multi_bound(chain) + (len(chain) - 1) * _state_entropy(chain.dim, rho, "chain")
+    return _state_value(chain, rho, BoundName.MU_MULTI)
 
 
 def mu_two_bound(a: MeasurementBasis, b: MeasurementBasis, rho: DensityMatrix | None = None) -> float:
@@ -245,7 +263,7 @@ def scb_max_bound(chain: MeasurementChain, rho: DensityMatrix | None = None) -> 
     Candidates: every pair bound -log2 c(M_i, M_j) + S(rho), and for N >= 3 the
     full cycle in input order, -1/2 sum_m log2 c(M_m, M_m+1) + (N/2) S(rho).
     """
-    return float(_scb_max(chain.overlaps, _state_entropy(chain.dim, rho, "chain")))
+    return _state_value(chain, rho, BoundName.SCB_MAX)
 
 
 def _push_weights(chain: MeasurementChain, w: np.ndarray) -> np.ndarray:
@@ -267,20 +285,12 @@ def chain_coefficients(chain: MeasurementChain, rho: DensityMatrix) -> np.ndarra
     return _push_weights(chain, outcome_distribution(chain[0], rho))
 
 
-def _state_dependent(n: int, beta: np.ndarray, q: np.ndarray, s):
-    """:func:`state_dependent_bound` of ``n`` bases from chain weights ``beta``, last-basis Born
-    probabilities ``q`` (both (..., d)) and S(rho) ``s``; q_j <= ``LOG_CUTOFF`` adds 0.  No validation."""
-    beta = np.where(q > LOG_CUTOFF, beta / beta.sum(axis=-1, keepdims=True), 1.0)
-    return (n - 1) * s - (q * np.log2(beta)).sum(axis=-1)
-
-
 def state_dependent_bound(chain: MeasurementChain, rho: DensityMatrix) -> float:
     """N S(rho) + S(rho || sigma), sigma = sum_j beta_j |v_j><v_j| with the normalized chain weights on the
     last basis v, as (N - 1) S(rho) - sum_j <v_j|rho|v_j> log2 beta_j.  Always finite: for a PSD rho,
     <v|rho|v> > 0 implies <v|sum_i P_i rho P_i|v> > 0, and beta_j = <v_j|D_{N-1}...D_1(rho)|v_j> (D_m
     dephases in basis m), so <v_j|rho|v_j> > 0 forces beta_j > 0.  Tighter than :func:`mu_multi_bound_with_state`."""
-    beta = chain_coefficients(chain, rho)  # checks the dimensions
-    return float(_state_dependent(len(chain), beta, outcome_distribution(chain[-1], rho), von_neumann_entropy(rho)))
+    return _state_value(chain, rho, BoundName.STATE_DEPENDENT)
 
 
 def berta_two_bound(a: MeasurementBasis, b: MeasurementBasis, rho: BipartiteState) -> float:
@@ -290,7 +300,8 @@ def berta_two_bound(a: MeasurementBasis, b: MeasurementBasis, rho: BipartiteStat
 
 def memory_multi_bound(chain: MeasurementChain, rho: BipartiteState) -> float:
     """Memory-assisted chain bound -log2 b + (N - 1) S(A|B)."""
-    return mu_multi_bound(chain) + (len(chain) - 1) * _memory_entropy(chain.dim, rho, "chain")
+    s = _memory_entropy(chain.dim, rho, "chain")
+    return float(_memory_bounds(chain, np.array([s]))[BoundName.MEMORY_MULTI][0])
 
 
 def memory_pure_bound(chain: MeasurementChain, rho: BipartiteState) -> float:
@@ -299,41 +310,79 @@ def memory_pure_bound(chain: MeasurementChain, rho: BipartiteState) -> float:
     purity = rho.joint.purity()
     if purity <= 1.0 - PURITY_TOL:
         raise ValueError(f"memory_pure_bound requires a pure joint state, got tr(rho^2) = {purity:.6f}")
-    return mu_multi_bound(chain) + s
+    return float(_memory_bounds(chain, np.array([s]))[BoundName.MEMORY_PURE][0])
+
+
+def _chain_probabilities(chain: MeasurementChain, rhos: np.ndarray) -> np.ndarray:
+    """Born probabilities of each density matrix of a (k, d, d) stack, or of one (d, d) matrix, in
+    every basis of the chain, as a (k, N, d) array (k = 1 for one matrix).  No validation."""
+    return _born_probabilities(_stacked_bras(chain), rhos).reshape(-1, len(chain), chain.dim)
+
+
+def _state_bounds(chain: MeasurementChain, s: np.ndarray, probs: np.ndarray | None = None, mu=None) -> dict:
+    """{bound: value} of every state-mode bound but DEUTSCH_MULTI for the (k,) stack ``s`` of S(rho),
+    as (k,) arrays: MU_MULTI (its constant ``mu`` if given, a searched order's), STATE_DEPENDENT when
+    the (k, N, d) Born probabilities ``probs`` are given, SCB_MAX, MU_TWO of the first two bases and
+    WEIGHTED for N = 3.  STATE_DEPENDENT is (N - 1) S(rho) - sum_j q_j log2 beta_j (see
+    :func:`state_dependent_bound`), q the last basis' probabilities and beta the normalized chain
+    weights; q_j <= ``LOG_CUTOFF`` adds 0.  No validation."""
+    n, bank = len(chain), chain.overlaps
+    values = {BoundName.MU_MULTI: (mu_multi_bound(chain) if mu is None else mu) + (n - 1) * s}
+    if probs is not None:
+        q = probs[:, -1]
+        beta = _push_weights(chain, probs[:, 0])
+        beta = np.where(q > LOG_CUTOFF, beta / beta.sum(axis=-1, keepdims=True), 1.0)
+        values[BoundName.STATE_DEPENDENT] = (n - 1) * s - (q * np.log2(beta)).sum(axis=-1)
+    values[BoundName.SCB_MAX] = _scb_max(bank, s)
+    values[BoundName.MU_TWO] = _pair_bounds(bank)[0, 1] + s
+    if n == 3:
+        values[BoundName.WEIGHTED] = _weighted(bank[0, 2], bank[2, 1]) + 2.0 * s
+    return values
+
+
+def _state_value(chain: MeasurementChain, rho: DensityMatrix | None, name: BoundName) -> float:
+    """Bound ``name`` of :func:`_state_bounds` at the one state ``rho``, or at S(rho) = 0 without
+    one; rejects a state whose dimension is not the chain's."""
+    s = np.array([_state_entropy(chain.dim, rho, "chain")])
+    probs = _chain_probabilities(chain, rho.matrix) if name is BoundName.STATE_DEPENDENT else None
+    return float(_state_bounds(chain, s, probs)[name][0])
+
+
+def _memory_bounds(chain: MeasurementChain, s_ab: np.ndarray) -> dict:
+    """{bound: value} of every memory bound for the (k,) stack ``s_ab`` of S(A|B), as (k,) arrays but
+    BERTA_TWO's, which is (k, N - 1), a column per consecutive pair.  MEMORY_PURE holds only on pure
+    joint states.  No validation."""
+    n, mu = len(chain), mu_multi_bound(chain)
+    return {
+        BoundName.MEMORY_MULTI: mu + (n - 1) * s_ab,
+        BoundName.MEMORY_PURE: mu + s_ab,
+        BoundName.BERTA_TWO: s_ab[:, None] + np.diagonal(_pair_bounds(chain.overlaps), 1),
+    }
 
 
 def _state_gaps(chain: MeasurementChain, rhos: np.ndarray) -> dict:
     """{bound: (left-hand side, bound value)} of every state-mode bound on each density matrix of
-    the (k, d, d) stack ``rhos``, as (k,) arrays.  No validation."""
-    n, bank = len(chain), chain.overlaps
-    probs = _born_probabilities(_stacked_bras(chain), rhos).reshape(-1, n, chain.dim)
+    the (k, d, d) stack ``rhos``, as (k,) arrays; the values are :func:`_state_bounds`'.  No validation."""
+    probs = _chain_probabilities(chain, rhos)
     hs, h_min = _entropy_rows(probs, (1.0,)), sum(_entropy_rows(probs, (math.inf,)).T)  # hs: (k, N)
     h, s = sum(hs.T), _entropy_rows(np.linalg.eigvalsh(rhos), (1.0,))
-    gaps = {
-        BoundName.DEUTSCH_MULTI: (h_min, np.full_like(s, deutsch_multi_bound(chain))),
-        BoundName.MU_MULTI: (h, mu_multi_bound(chain) + (n - 1) * s),
-        BoundName.STATE_DEPENDENT: (h, _state_dependent(n, _push_weights(chain, probs[:, 0]), probs[:, -1], s)),
-        BoundName.SCB_MAX: (h, _scb_max(bank, s)),
-        BoundName.MU_TWO: (hs[:, 0] + hs[:, 1], _pair_bounds(bank)[0, 1] + s),
-    }
-    if n == 3:
-        lhs = sum(w * hm for w, hm in zip(WEIGHTED_WEIGHTS, hs.T))
-        gaps[BoundName.WEIGHTED] = (lhs, _weighted(bank[0, 2], bank[2, 1]) + 2.0 * s)
-    return gaps
+    lhs = {BoundName.MU_MULTI: h, BoundName.STATE_DEPENDENT: h, BoundName.SCB_MAX: h,
+           BoundName.MU_TWO: hs[:, 0] + hs[:, 1]}
+    if len(chain) == 3:
+        lhs[BoundName.WEIGHTED] = sum(w * hm for w, hm in zip(WEIGHTED_WEIGHTS, hs.T))
+    gaps = {BoundName.DEUTSCH_MULTI: (h_min, np.full_like(s, deutsch_multi_bound(chain)))}
+    return gaps | {name: (lhs[name], value) for name, value in _state_bounds(chain, s, probs).items()}
 
 
 def _memory_gaps(chain: MeasurementChain, joints: np.ndarray, dim_b: int) -> dict:
     """{bound: (left-hand side, bound value)} of every memory bound on each joint matrix of the
     (k, d d_B, d d_B) stack ``joints``, A measured by the chain.  BERTA_TWO's arrays are (k, N - 1),
-    a column per consecutive pair; MEMORY_PURE holds only on pure joint states.  No validation."""
-    n = len(chain)
+    a column per consecutive pair; the values are :func:`_memory_bounds`'.  No validation."""
     s_ab, hc = _memory_entropies(joints, chain.dim, dim_b, _stacked_bras(chain))
-    hc_sum, mu = sum(hc.T), mu_multi_bound(chain)
-    return {
-        BoundName.MEMORY_MULTI: (hc_sum, mu + (n - 1) * s_ab),
-        BoundName.MEMORY_PURE: (hc_sum, mu + s_ab),
-        BoundName.BERTA_TWO: (hc[:, :-1] + hc[:, 1:], s_ab[:, None] + np.diagonal(_pair_bounds(chain.overlaps), 1)),
-    }
+    hc_sum = sum(hc.T)
+    lhs = {BoundName.MEMORY_MULTI: hc_sum, BoundName.MEMORY_PURE: hc_sum,
+           BoundName.BERTA_TWO: hc[:, :-1] + hc[:, 1:]}
+    return {name: (lhs[name], value) for name, value in _memory_bounds(chain, s_ab).items()}
 
 
 def deutsch_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tuple[int, ...]]:
@@ -394,13 +443,11 @@ def build_reports(
         return reports
 
     m_val, m_order = searched(mu_multi_bound_best_order, mu_multi_bound)
-    reports.append(BoundReport(BoundName.MU_MULTI, m_val + (n - 1) * s, uses_state, m_order))
-    bank, values = chain.overlaps, {BoundName.SCB_MAX: float(_scb_max(chain.overlaps, s))}
-    if n == 2:
-        values[BoundName.MU_TWO] = float(_pair_bounds(bank)[0, 1]) + s
-    if n == 3:
-        values[BoundName.WEIGHTED] = _weighted(bank[0, 2], bank[2, 1]) + 2.0 * s
-    if rho is not None:
-        probs = _born_probabilities(_stacked_bras(chain), rho.matrix).reshape(n, -1)
-        values[BoundName.STATE_DEPENDENT] = float(_state_dependent(n, _push_weights(chain, probs[0]), probs[-1], s))
-    return reports + [BoundReport(name, value, uses_state, identity_order) for name, value in values.items()]
+    probs = _chain_probabilities(chain, rho.matrix) if uses_state else None
+    values = _state_bounds(chain, np.array([s]), probs, mu=m_val)
+    reports.append(BoundReport(BoundName.MU_MULTI, float(values[BoundName.MU_MULTI][0]), uses_state, m_order))
+    if n != 2:
+        del values[BoundName.MU_TWO]  # of the first two bases, listed only when they are the whole chain
+    names = (BoundName.SCB_MAX, BoundName.MU_TWO, BoundName.WEIGHTED, BoundName.STATE_DEPENDENT)
+    return reports + [BoundReport(name, float(values[name][0]), uses_state, identity_order)
+                      for name in names if name in values]

@@ -2,7 +2,9 @@
 
 The oracles spell the bound definitions out as explicit loops over outcome
 index tuples, independent of the contraction-based implementations they
-cross-check.
+cross-check.  The per-state loops here take every bound's value from
+``tests/oracle.py``, which computes each bound from its formula and imports
+nothing from ``eur.bounds``.
 """
 
 import json
@@ -12,21 +14,15 @@ from itertools import permutations, product
 import numpy as np
 
 import eur
+import oracle
 from eur.bounds import (
     BoundName,
     _fold,
     _mu_steps,
     _neg_log2,
-    berta_two_bound,
     deutsch_multi_bound,
-    memory_multi_bound,
-    memory_pure_bound,
     mu_multi_bound_best_order,
-    mu_multi_bound_with_state,
-    mu_two_bound,
     scb_max_bound,
-    state_dependent_bound,
-    weighted_bound,
 )
 from eur.core import BipartiteState, PureState, outcome_distribution
 from eur.entropy import LOG_CUTOFF, measured_conditional_entropy, renyi_entropy, shannon_entropy
@@ -267,7 +263,8 @@ def mub_chain(dim, count):
 
 
 def loop_spot_check_inequalities(chain, samples=200, seed=0):
-    """Spot checks one sample at a time through the validated bound functions.
+    """Spot checks one sample at a time, the bounds from ``oracle`` and the entropies through the
+    validated entropy functions.
 
     Each round draws a Haar-random pure state, a random mixed state, and pure
     and mixed bipartite states with a memory of the chain's own dimension.
@@ -289,27 +286,26 @@ def loop_spot_check_inequalities(chain, samples=200, seed=0):
             probs = [outcome_distribution(b, rho) for b in chain]
             h = [shannon_entropy(p) for p in probs]
             h_min = [renyi_entropy(p, math.inf) for p in probs]
-            update(BoundName.DEUTSCH_MULTI, sum(h_min) - deutsch_multi_bound(chain))
-            update(BoundName.MU_MULTI, sum(h) - mu_multi_bound_with_state(chain, rho))
-            update(BoundName.STATE_DEPENDENT, sum(h) - state_dependent_bound(chain, rho))
-            update(BoundName.SCB_MAX, sum(h) - scb_max_bound(chain, rho))
-            update(BoundName.MU_TWO, h[0] + h[1] - mu_two_bound(chain[0], chain[1], rho))
+            bound = oracle.state_bounds(chain, rho.matrix)
+            update(BoundName.DEUTSCH_MULTI, sum(h_min) - bound["DEUTSCH_MULTI"])
+            update(BoundName.MU_MULTI, sum(h) - bound["MU_MULTI"])
+            update(BoundName.STATE_DEPENDENT, sum(h) - bound["STATE_DEPENDENT"])
+            update(BoundName.SCB_MAX, sum(h) - bound["SCB_MAX"])
+            update(BoundName.MU_TWO, h[0] + h[1] - bound["MU_TWO"])
             if n == 3:
                 lhs = sum(w * hm for w, hm in zip(WEIGHTED_WEIGHTS, h))
-                update(BoundName.WEIGHTED, lhs - weighted_bound(*chain, rho))
+                update(BoundName.WEIGHTED, lhs - bound["WEIGHTED"])
 
         pure_ab = BipartiteState.from_pure(loop_haar_vector(rng, d * d), d, d)
         mixed_ab = BipartiteState(random_density_matrix(d * d, int(rng.integers(1, d * d + 1)), rng), d, d)
         for rho_ab, is_pure in ((pure_ab, True), (mixed_ab, False)):
             hc = [measured_conditional_entropy(b, rho_ab) for b in chain]
-            update(BoundName.MEMORY_MULTI, sum(hc) - memory_multi_bound(chain, rho_ab))
+            bound = oracle.memory_bounds(chain, rho_ab.joint.matrix, d)
+            update(BoundName.MEMORY_MULTI, sum(hc) - bound["MEMORY_MULTI"])
             if is_pure:
-                update(BoundName.MEMORY_PURE, sum(hc) - memory_pure_bound(chain, rho_ab))
+                update(BoundName.MEMORY_PURE, sum(hc) - bound["MEMORY_PURE"])
             for m in range(n - 1):
-                update(
-                    BoundName.BERTA_TWO,
-                    hc[m] + hc[m + 1] - berta_two_bound(chain[m], chain[m + 1], rho_ab),
-                )
+                update(BoundName.BERTA_TWO, hc[m] + hc[m + 1] - bound["BERTA_TWO"][m])
     return worst
 
 
@@ -322,7 +318,8 @@ def loop_mixed_memory_gap(chain, dim_b, seed):
     for _ in range(MIXED_SPOT_SAMPLES):
         rank = int(rng.integers(1, total + 1))
         rho = BipartiteState(random_density_matrix(total, rank, rng), da, dim_b)
-        gap = sum(measured_conditional_entropy(b, rho) for b in chain) - memory_multi_bound(chain, rho)
+        bound = oracle.memory_bounds(chain, rho.joint.matrix, dim_b)["MEMORY_MULTI"]
+        gap = sum(measured_conditional_entropy(b, rho) for b in chain) - bound
         worst = min(worst, gap)
     return worst
 

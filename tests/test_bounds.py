@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import eur
-from eur.bounds import BoundName, _pair_bounds, _state_gaps, _weighted
+from eur.bounds import BoundName, _memory_gaps, _pair_bounds, _state_gaps, _weighted
 from eur.core import DensityMatrix, MeasurementChain, PureState, overlap_table
 from helpers import (
     _distinct_cyclic_orders,
@@ -17,6 +17,7 @@ from helpers import (
     exhaustive_mu_best_order,
     mub_chain,
     random_bipartite_mixed,
+    random_bipartite_pure,
     random_chain,
     random_pure_density,
     reordered_best_order,
@@ -621,3 +622,38 @@ class TestBuildReports:
             mu, deutsch = by_name[BoundName.MU_MULTI], by_name[BoundName.DEUTSCH_MULTI]
             assert mu.value == eur.mu_multi_bound_with_state(chain.reordered(mu.chain_order), rho)
             assert deutsch.value == eur.deutsch_multi_bound(chain.reordered(deutsch.chain_order))
+
+
+class TestChainScalarsAreTheReportedBits:
+    """Each chain-taking public scalar returns, bit for bit, the value ``eur bounds`` prints (state
+    mode) or the one ``verify`` checks (memory mode)."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_state_mode(self, dim):
+        scalars = {
+            BoundName.MU_MULTI: eur.mu_multi_bound_with_state,
+            BoundName.SCB_MAX: eur.scb_max_bound,
+            BoundName.STATE_DEPENDENT: eur.state_dependent_bound,
+        }
+        for n in (2, 3, 4, 5):
+            for seed in range(10):
+                chain = random_chain(dim, n, seed)
+                for rank in (1, dim):
+                    rho = eur.random_density_matrix(dim, rank, seed)
+                    reported = {r.bound_name: r.value for r in eur.build_reports(chain, rho)}
+                    for name, scalar in scalars.items():
+                        assert scalar(chain, rho) == reported[name], (name, n, seed, rank)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_memory_mode(self, dim):
+        scalars = {BoundName.MEMORY_MULTI: eur.memory_multi_bound, BoundName.MEMORY_PURE: eur.memory_pure_bound}
+        for n in (2, 3, 4, 5):
+            for seed in range(10):
+                chain = random_chain(dim, n, seed)
+                for dim_b in (1, 2, 3):
+                    pure = random_bipartite_pure(dim, dim_b, seed)
+                    mixed = random_bipartite_mixed(dim, dim_b, rank=dim * dim_b, seed=seed)
+                    for state, names in ((pure, scalars), (mixed, [BoundName.MEMORY_MULTI])):
+                        gaps = _memory_gaps(chain, state.joint.matrix[None], dim_b)
+                        for name in names:
+                            assert scalars[name](chain, state) == gaps[name][1][0], (name, n, seed, dim_b)

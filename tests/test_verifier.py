@@ -31,6 +31,7 @@ from helpers import (
     validated_memory_objective,
     validated_pure_objective,
 )
+import oracle
 from scipy.optimize import minimize
 
 DEUTSCH_MUB2_PAIR = 0.45689339367277615
@@ -232,15 +233,12 @@ class TestMinimizeEntropySum:
     @pytest.mark.parametrize("chain", [mub_chain(2, 2), mub_chain(3, 3), random_chain(3, 4, seed=2)])
     @pytest.mark.parametrize("orders", [1.0, math.inf])
     def test_slacks_are_the_public_bounds_at_the_minimizer(self, chain, orders):
-        """Each slack is objective_min minus the validated bound at the minimizer's projector.
+        """Each slack is objective_min minus the oracle's bound at the minimizer's projector.
         WEIGHTED (N = 3) is taken at the minimizer of its own search, which the result does not hold."""
         result = eur.minimize_entropy_sum(chain, orders, config=eur.MinimizationConfig(restarts=4, seed=2))
-        rho = result.minimizer.projector()
-        public = {
-            BoundName.MU_MULTI: eur.mu_multi_bound_with_state(chain, rho),
-            BoundName.SCB_MAX: eur.scb_max_bound(chain, rho),
-            BoundName.STATE_DEPENDENT: eur.state_dependent_bound(chain, rho),
-        } if orders == 1.0 else {BoundName.DEUTSCH_MULTI: eur.deutsch_multi_bound(chain)}
+        bound = oracle.state_bounds(chain, result.minimizer.projector().matrix)
+        names = ["MU_MULTI", "SCB_MAX", "STATE_DEPENDENT"] if orders == 1.0 else ["DEUTSCH_MULTI"]
+        public = {BoundName(name): bound[name] for name in names}
         slacks = dict(result.slack_per_bound)
         if orders == 1.0 and len(chain) == 3:
             assert slacks.pop(BoundName.WEIGHTED) >= -1e-9
@@ -266,7 +264,8 @@ class TestMinimizeConditionalEntropySum:
         chain = mub_chain(2, 3) if dim_a == 2 else random_chain(dim_a, 3, seed=7)
         config = eur.MinimizationConfig(restarts=2, seed=5)
         result = eur.minimize_conditional_entropy_sum(chain, dim_b, config)
-        pure_gap = result.objective_min - eur.memory_multi_bound(chain, result.minimizer)
+        bound = oracle.memory_bounds(chain, result.minimizer.joint.matrix, dim_b)["MEMORY_MULTI"]
+        pure_gap = result.objective_min - bound
         expected = min(pure_gap, loop_mixed_memory_gap(chain, dim_b, config.seed))
         assert abs(result.slack_per_bound[BoundName.MEMORY_MULTI] - expected) <= 1e-12
 
