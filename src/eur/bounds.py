@@ -13,10 +13,12 @@ the order in which the bases are chained.  Each is written once as a start, a
 step and a closing step, which the fixed-order bound folds along the input
 order and the ``*_best_order`` variants run through one search over index
 orders, sharing prefixes: a root fixes the first pair, and for the Deutsch
-search the last index, and its orders grow level by level as one batch, each
-level one step on at most (N - 2)! (MU) or (N - 3)! (Deutsch) vectors; ties go
-to the lexicographically first order.  ``eur scan`` runs the same steps on a
-stack of banks.
+search the last index, and its orders grow level by level in blocks, each
+level one step on a stack of prefix vectors that holds at most
+``_STACK_BUDGET`` floats.  A block is a run of whole subtrees: the Deutsch
+roots, which have no floor, share blocks, and a root larger than the budget is
+cut into blocks of its subtrees.  Ties go to the lexicographically first
+order.  ``eur scan`` runs the same steps on a stack of banks.
 
 A bound with a state term adds S(rho) or S(A|B), times a count, to a constant
 of the bank.  Each such bound is written once, in the value function of its
@@ -68,6 +70,7 @@ from .entropy import LOG_CUTOFF, _entropy_rows, _memory_entropies, conditional_e
 
 PURITY_TOL = 1e-9  # tr(rho^2) must exceed 1 - PURITY_TOL for pure-state-only bounds
 WEIGHTED_WEIGHTS = (1.0, 1.0, 2.0)  # H(u) + H(v) + 2 H(w), the WEIGHTED bound's entropy sum
+_STACK_BUDGET = 2**14  # floats of prefix vectors per block of the order search, so its stacks stay in cache
 
 
 class BoundName(str, Enum):
@@ -119,10 +122,17 @@ def _max_trailing(a: np.ndarray, k: int = 1) -> np.ndarray:
     return out
 
 
+def _pairs_first(bank: np.ndarray) -> np.ndarray:
+    """``np.moveaxis(bank, (-4, -3), (0, 1))`` of a (..., N, N, d, d) bank, as one ``transpose``:
+    the same view without moveaxis' argument handling, which cost a few microseconds per search."""
+    k = bank.ndim - 4
+    return bank.transpose(k, k + 1, *range(k), k + 2, k + 3)
+
+
 def _deutsch_steps(bank: np.ndarray):
     """Deutsch contraction with F = (1 + sqrt(c)) / 2: v[..., s, k] is the largest product of F factors
     from start outcome s to outcome k; the closing factor leads back to the first basis."""
-    f = (1.0 + np.sqrt(np.moveaxis(bank, (-4, -3), (0, 1)))) / 2.0
+    f = (1.0 + np.sqrt(_pairs_first(bank))) / 2.0
 
     def step(v, i, j):
         # max over the middle index k of v[..., s, k] F[k, l], unrolled: exact, so the order is free
@@ -138,7 +148,7 @@ def _deutsch_steps(bank: np.ndarray):
 def _mu_steps(bank: np.ndarray):
     """MU contraction: the first table collapsed to its column maxima, a (..., 1, d) row, each
     intermediate index summed against the next table, the final index maximised."""
-    b = np.moveaxis(bank, (-4, -3), (0, 1))
+    b = _pairs_first(bank)
     start = _max_trailing(np.swapaxes(b, -1, -2))[..., None, :]
     return start, lambda v, i, j: v @ b[i, j], lambda first, last, v: _max_trailing(v, 2)
 
@@ -164,31 +174,50 @@ def _search(n: int, steps, roots) -> tuple[float, tuple[int, ...]]:
 
     A root (head, tail, floor) stands for the orders head + p + tail: ``head`` a first pair, p every
     permutation of the indices in neither, ``tail`` of one length in every root.  A root whose floor
-    on the closing values reaches the incumbent's could only tie and is skipped, so roots with a
-    floor above 0 must come in lexicographic order.  Each root lays its orders out in
-    ``permutations`` order, so the distinct prefixes of each length are evenly spaced rows: a level
-    repeats the prefix vectors once per child and takes one :func:`_fold` step on their stack.
+    on the closing values reaches the incumbent's could only tie and is skipped before any of its
+    orders is walked, so roots with a floor above 0 must come in lexicographic order.  Each root
+    lays its orders out in ``permutations`` order, and the walk takes them in blocks of at most
+    ``budget`` orders, as many prefix vectors as hold ``_STACK_BUDGET`` floats.  A block is a run of
+    whole subtrees of ``unit`` orders: when no root has a floor, consecutive roots share a block; a
+    root larger than the budget is cut into blocks of its subtrees.  In a block the distinct
+    prefixes of each length are evenly spaced rows, so a level repeats the prefix vectors once per
+    child and takes one :func:`_fold` step on their stack.
     """
     start, step, close = steps
     t = n - len(roots[0][1])  # the free indices fill positions 2 .. t - 1
     free = np.fromiter(itertools.chain.from_iterable(permutations(range(2, t))), np.int8)
     places = np.tile(np.arange(n, dtype=np.int8), (math.factorial(t - 2), 1))  # int8 holds any feasible N
     places[:, 2:t] = free.reshape(len(places), t - 2)
+    budget = max(_STACK_BUDGET // start[0, 0].size, 1)  # orders per block
+    unit, k = len(places), t - 2  # a subtree's orders, and the free indices below its prefix
+    while unit > budget:
+        unit, k = unit // k, k - 1
+    spacing = [min(unit, math.factorial(max(t - 1 - m, 0))) for m in range(n)]  # rows per prefix at level m
+    shared = 1 if any(floor for _, _, floor in roots) else max(budget // len(places), 1)  # roots per block
+    width = budget // unit * unit  # orders of one root per block
     best_val, best_order, best_x = -math.inf, None, math.inf
-    for head, tail, floor in roots:
-        if floor >= best_x:
+    for r in range(0, len(roots), shared):
+        if roots[r][2] >= best_x:
             continue
-        orders = np.array([*head, *sorted(set(range(n)) - {*head, *tail}), *tail], dtype=np.int8)[places]
-        v = start[head][None]
-        for m in range(2, n):
-            rows = orders[:: math.factorial(max(t - 1 - m, 0))]
-            v = step(np.repeat(v, len(rows) // len(v), axis=0), rows[:, m - 1], rows[:, m])
-        x = close(orders[:, 0], orders[:, -1], v)
-        val = _neg_log2(x)
-        best = int(np.argmax(val))
-        order = tuple(orders[best].tolist())
-        if val[best] > best_val or val[best] == best_val and order < best_order:
-            best_val, best_order, best_x = float(val[best]), order, x[best]
+        group = roots[r : r + shared]
+        bases = np.array([[*head, *sorted(set(range(n)) - {*head, *tail}), *tail] for head, tail, _ in group], np.int8)
+        for lo in range(0, len(places), width):
+            orders = bases.take(places[lo : lo + width], axis=1).reshape(-1, n)
+            v = np.array([start[head] for head, _, _ in group])
+            for m in range(2, n):
+                rows = orders[:: spacing[m]]
+                if len(rows) > len(v):
+                    v = v.repeat(len(rows) // len(v), axis=0)
+                v = step(v, rows[:, m - 1], rows[:, m])
+            x = close(orders[:, 0], orders[:, -1], v)
+            val = _neg_log2(x)
+            best = int(np.argmax(val))  # within one root the first of equal values is the lexicographically first
+            if len(group) > 1:
+                ties = np.flatnonzero(val == val[best])
+                best = ties[np.lexsort(orders[ties, ::-1].T)[0]]
+            order = tuple(orders[best].tolist())
+            if val[best] > best_val or val[best] == best_val and order < best_order:
+                best_val, best_order, best_x = float(val[best]), order, x[best]
     return best_val, best_order
 
 
@@ -247,11 +276,11 @@ def _pair_bounds(bank: np.ndarray) -> np.ndarray:
     return _neg_log2(_max_trailing(bank, 2))
 
 
-def _scb_max(bank: np.ndarray, s=0.0):
-    """:func:`scb_max_bound` of every chain of a (..., N, N, d, d) bank at state entropy ``s``, a
-    number or an array that broadcasts against the leading axes: the best pair term
-    max_{i<j} -log2 c(M_i, M_j) + s against the input-order cycle term (none for N = 2)."""
-    n, p = bank.shape[-3], _pair_bounds(bank)
+def _scb_max(p: np.ndarray, s=0.0):
+    """:func:`scb_max_bound` of every chain from its (..., N, N) pair terms ``p`` (:func:`_pair_bounds`)
+    at state entropy ``s``, a number or an array that broadcasts against the leading axes: the best
+    pair term max_{i<j} -log2 c(M_i, M_j) + s against the input-order cycle term (none for N = 2)."""
+    n = p.shape[-1]
     pair = np.max([p[..., i, j] for i in range(n) for j in range(i + 1, n)], axis=0)
     cycle = 0.5 * sum(p[..., m, (m + 1) % n] for m in range(n)) if n >= 3 else -math.inf
     return np.maximum(pair + s, cycle + 0.5 * n * s)
@@ -333,8 +362,9 @@ def _state_bounds(chain: MeasurementChain, s: np.ndarray, probs: np.ndarray | No
         beta = _push_weights(chain, probs[:, 0])
         beta = np.where(q > LOG_CUTOFF, beta / beta.sum(axis=-1, keepdims=True), 1.0)
         values[BoundName.STATE_DEPENDENT] = (n - 1) * s - (q * np.log2(beta)).sum(axis=-1)
-    values[BoundName.SCB_MAX] = _scb_max(bank, s)
-    values[BoundName.MU_TWO] = _pair_bounds(bank)[0, 1] + s
+    p = _pair_bounds(bank)
+    values[BoundName.SCB_MAX] = _scb_max(p, s)
+    values[BoundName.MU_TWO] = p[0, 1] + s
     if n == 3:
         values[BoundName.WEIGHTED] = _weighted(bank[0, 2], bank[2, 1]) + 2.0 * s
     return values
@@ -391,7 +421,8 @@ def deutsch_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tupl
     The product is invariant under rotation and reversal, so basis 0 goes first and of each
     reversed pair only the order whose second index is below its last is visited: one root with
     head (0, j) and tail (l,) for every 1 <= j < l <= N - 1, (N - 1)!/2 orders in all, and the one
-    order (0, 1) for N = 2.  Nothing is pruned; of equal values the lexicographically first order wins.
+    order (0, 1) for N = 2.  Nothing is pruned: every root's floor is 0 (none), so consecutive roots
+    share the search's blocks.  Of equal values the lexicographically first order wins.
     """
     n = len(chain)
     roots = [((0, j), (l,), 0.0) for j in range(1, n) for l in range(j + 1, n)] or [((0, 1), (), 0.0)]

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .bounds import _deutsch_multi, _mu_multi_best, _scb_max, build_reports
+from .bounds import _deutsch_multi, _mu_multi_best, _pair_bounds, _scb_max, build_reports
 from .core import _overlap_bank
 from .fileio import _write_text, read_chain, read_density_matrix, write_measurement_set
 from .generators import _paper_d3_vectors, mub_set, parametric_d3_chain, random_basis
@@ -32,7 +32,8 @@ from .verifier import (
 # CLI bound name -> bound of every chain of a (..., N, N, d, d) overlap bank, through the
 # contraction steps of its single-chain bound; its CSV column is the name with "_" for "-".
 # The scan reports the order-optimized contraction bound so the columns are comparable.
-SCAN_BOUNDS = {"mu-multi": _mu_multi_best, "scb-max": _scb_max, "deutsch-multi": _deutsch_multi}
+SCAN_BOUNDS = {"mu-multi": _mu_multi_best, "scb-max": lambda bank: _scb_max(_pair_bounds(bank)),
+               "deutsch-multi": _deutsch_multi}
 _SCAN_BLOCK = 256  # grid points evaluated per stacked bank, bounding the scan's temporaries
 # subcommand -> (selector, {optional flag: the selector values that read it}, the flags that every value
 # reading them requires), flags in check order; any other value rejects the flag
@@ -78,11 +79,19 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _scan_rows(a: np.ndarray, phi: np.ndarray, requested: list[str]) -> list[tuple[float, ...]]:
-    """(a, phi, bound, ...) per grid point, the chains stacked ``_SCAN_BLOCK`` points at a time."""
-    rows = []
+    """(a, phi, bound, ...) per grid point, the chains stacked ``_SCAN_BLOCK`` points at a time.
+
+    The family's first two bases depend on neither a nor phi, so their tables are taken once, from
+    the first point's chain once its parameters have passed, and each block's bank takes only the
+    products that involve the third basis.
+    """
+    rows, fixed = [], None
     for start in range(0, a.size, _SCAN_BLOCK):
         block = a[start : start + _SCAN_BLOCK], phi[start : start + _SCAN_BLOCK]
-        bank = _overlap_bank(_paper_d3_vectors(*block))
+        v = _paper_d3_vectors(*block)
+        if fixed is None:
+            fixed = _overlap_bank(v[0, :2])
+        bank = _overlap_bank(v, fixed)
         rows += zip(*(c.tolist() for c in [*block] + [SCAN_BOUNDS[name](bank) for name in requested]))
     return rows
 
@@ -122,11 +131,13 @@ def _beside(here, there):
     The worker is a copy of this process, so it computes the bits a call in process would and
     starts without importing anything (a spawned interpreter would import numpy again).  It
     pickles ``(True, result)`` or ``(False, exception)`` into a pipe and always ends with
-    ``os._exit(0)``: no buffered output is flushed twice and no at-exit handler runs.  The
-    worker's exception is raised again here.  The worker is reaped before this returns, and
-    killed first if anything raises here, ``KeyboardInterrupt`` included.  Without ``os.fork``,
-    with fewer than two CPUs, or when ``os.fork`` fails, both run in this process, ``here``
-    first, so that an exception of ``here`` wins either way.
+    ``os._exit``, 0 once the whole message is written: no buffered output is flushed twice and no
+    at-exit handler runs.  The worker's exception is raised again here.  The worker is reaped
+    before this returns, and killed first if anything raises here, ``KeyboardInterrupt``
+    included.  Without ``os.fork``, with fewer than two CPUs, or when ``os.fork`` fails, both run
+    in this process, ``here`` first, so that an exception of ``here`` wins either way; a worker
+    that ends without its whole result (killed by a signal, say) has ``there`` run here after
+    ``here``, with the same output.
     """
     if not hasattr(os, "fork") or _cpus() < 2:
         return here(), there()
@@ -140,6 +151,7 @@ def _beside(here, there):
         os.close(write_end)
         return here(), there()
     if pid == 0:
+        code = 1
         try:
             os.close(read_end)
             try:
@@ -148,20 +160,24 @@ def _beside(here, there):
                 message = pickle.dumps((False, exc))
             with open(write_end, "wb") as pipe:
                 pipe.write(message)
+            code = 0
         finally:
-            os._exit(0)
+            os._exit(code)
     os.close(write_end)
     with open(read_end, "rb") as pipe:
         try:
             mine = here()
-            ok, theirs = pickle.load(pipe)
+            message = pipe.read()
         except BaseException:
             import signal  # off the start-up path: needed only to stop a worker
 
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
-            os.waitpid(pid, 0)
+            status = os.waitpid(pid, 0)[1]
+    if status:
+        return mine, there()
+    ok, theirs = pickle.loads(message)
     if not ok:
         raise theirs
     return mine, theirs

@@ -229,19 +229,30 @@ def _inner(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return u.conj() @ np.swapaxes(w, -1, -2)
 
 
-def _overlap_bank(v: np.ndarray) -> np.ndarray:
+def _overlap_bank(v: np.ndarray, fixed: np.ndarray | None = None) -> np.ndarray:
     """(..., N, N, d, d) bank of every chain in the (..., N, d, d) stack of row bases ``v``.
 
     Rejects the stack unless every entry is finite and every basis orthonormal, with the checks
     and messages of :class:`MeasurementBasis`.  Each basis' Gram matrix is read from the diagonal
     blocks of the bank's own inner products, which are then squared, so one product serves both.
     A basis the constructor accepted passes here too: its block is the same product.
+
+    ``fixed``, the (m, m, d, d) bank of the first m bases when every chain of the stack shares
+    them (checked where it was made), fills their tables, and only the products that involve a
+    later basis are taken, and only the later bases checked; each product is the one the whole
+    bank would take, so the bits are the same.
     """
     _check_finite(v, "basis")
-    g = _inner(v[..., :, None, :, :], v[..., None, :, :, :])
-    n = v.shape[-3]
-    _check_gram(g[..., range(n), range(n), :, :])
-    return np.abs(g) ** 2
+    n, m = v.shape[-3], 0 if fixed is None else len(fixed)
+    g = _inner(v[..., m:, None, :, :], v[..., None, :, :, :])  # the later bases' rows of the bank
+    _check_gram(g[..., range(n - m), range(m, n), :, :])
+    if fixed is None:
+        return np.abs(g) ** 2
+    bank = np.empty(v.shape[:-3] + (n, n) + v.shape[-2:])
+    bank[..., :m, :m, :, :] = fixed
+    bank[..., :m, m:, :, :] = np.abs(_inner(v[..., :m, None, :, :], v[..., None, m:, :, :])) ** 2
+    bank[..., m:, :, :, :] = np.abs(g) ** 2
+    return bank
 
 
 def max_overlap(a: MeasurementBasis, b: MeasurementBasis) -> float:

@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -412,27 +413,88 @@ class TestOrderSearch:
             assert eur.deutsch_multi_bound_best_order(chain) == want
             assert sum(closed) == (1 if n == 2 else math.factorial(n - 1) // 2)
 
-    @pytest.mark.parametrize("name,search,fixed", [
-        ("_deutsch_steps", eur.deutsch_multi_bound_best_order, 3),  # a root fixes the first pair and the last index
-        ("_mu_steps", eur.mu_multi_bound_best_order, 2),  # a root fixes the first pair
-    ], ids=["deutsch", "mu"])
-    def test_search_stacks_one_subtree_of_free_indices(self, monkeypatch, name, search, fixed):
-        stacked, steps = [], getattr(eur.bounds, name)
+    @staticmethod
+    def _walked_blocks(monkeypatch, name):
+        """Record every block the search ``name`` walks: (its orders, the float count of each stack a
+        step receives).  The orders are read back from the indices the steps and the close receive:
+        the close gets every order's first index, and the level-m step the m-th index of every
+        prefix, each prefix's children being the rows that follow it."""
+        blocks, levels, steps = [], [], getattr(eur.bounds, name)
 
         def recording_steps(bank):
             start, step, close = steps(bank)
 
             def recorded_step(v, i, j):
-                stacked.append(len(v))
+                levels.append((v.size, i, j))
                 return step(v, i, j)
 
-            return start, recorded_step, close
+            def recorded_close(first, last, v):
+                columns = [first] + [levels[0][1]] * bool(levels) + [j for _, _, j in levels]
+                orders = np.stack([np.repeat(c, len(first) // len(c)) for c in columns], axis=1)
+                blocks.append((orders, [size for size, _, _ in levels]))
+                levels.clear()
+                return close(first, last, v)
+
+            return start, recorded_step, recorded_close
 
         monkeypatch.setattr(eur.bounds, name, recording_steps)
-        for n in range(3, 9):
-            stacked.clear()
-            search(random_chain(2, n, seed=1550 + n))
-            assert max(stacked) == math.factorial(n - fixed)
+        return blocks
+
+    @pytest.mark.parametrize("name,search,walk,tail,floats", [
+        ("_deutsch_steps", eur.deutsch_multi_bound_best_order,
+         lambda n: [(0, j, *p, l) for j in range(1, n) for l in range(j + 1, n)
+                    for p in permutations(sorted(set(range(1, n)) - {j, l}))], 1, 4),
+        ("_mu_steps", eur.mu_multi_bound_best_order, lambda n: list(permutations(range(n))), 0, 2),
+    ], ids=["deutsch", "mu"])
+    def test_search_stacks_one_subtree_of_free_indices(self, monkeypatch, name, search, walk, tail, floats):
+        """No step receives more than ``_STACK_BUDGET`` floats (``floats`` per vector at d = 2), and each
+        block is a run of whole subtrees: the orders below a prefix of length q, q the shortest whose
+        subtrees fit the budget, are all in the block or none (a subtree also keeps its root's tail).
+        On identity tables the MU floors never reach the incumbent, so both searches walk every
+        order, root by root in ``walk`` order."""
+        blocks = self._walked_blocks(monkeypatch, name)
+        for budget, sizes in ((2**14, range(3, 9)), (4 * 24, range(3, 8)), (4 * 5, range(3, 8)), (4, range(3, 8))):
+            monkeypatch.setattr(eur.bounds, "_STACK_BUDGET", budget)
+            for n in sizes:
+                t = n - tail  # positions before the tail
+                q = next(q for q in range(2, t + 1) if math.factorial(t - q) <= budget // floats)
+                subtree = lambda o: (o[:q], o[t:])
+                whole = Counter(map(subtree, walk(n)))
+                identity = MeasurementChain((eur.computational_basis(2),) * n)
+                for chain, walks_all in ((random_chain(2, n, seed=1550 + n), False), (identity, True)):
+                    blocks.clear()
+                    search(chain)
+                    walked = [tuple(o) for block, _ in blocks for o in block.tolist()]
+                    assert len(set(walked)) == len(walked)
+                    if walks_all:
+                        assert walked == walk(n)
+                    for block, stacks in blocks:
+                        assert max(stacks, default=0) <= budget
+                        part = Counter(subtree(tuple(o)) for o in block.tolist())
+                        assert all(whole[key] == count for key, count in part.items())
+
+    def test_deutsch_search_takes_few_steps_at_eight_bases(self, monkeypatch):
+        """At d = 4 a block holds 2^14 / 16 = 1024 orders: the 21 roots of 120 orders go 8, 8 and 5
+        to a block, 3 blocks of 6 levels, where one walk per root took 126 steps."""
+        chain = random_chain(4, 8, seed=1560)
+        want = reordered_best_order(chain, eur.deutsch_multi_bound, _distinct_cyclic_orders(8))
+        blocks = self._walked_blocks(monkeypatch, "_deutsch_steps")
+        assert eur.deutsch_multi_bound_best_order(chain) == want
+        assert [len(block) for block, _ in blocks] == [960, 960, 600]
+        assert sum(len(sizes) for _, sizes in blocks) == 18
+
+    @pytest.mark.parametrize("budget", [2**14, 16 * 6])
+    def test_all_ties_keep_the_first_order_across_blocks(self, monkeypatch, budget):
+        """Identity tables tie every order at 0, so both searches must return (0, ..., 7).  At d = 4
+        the Deutsch search's first block of 8 roots holds it as the first order of its 6th root,
+        behind 600 tied orders; with 96 floats a block holds 6 Deutsch or 24 MU orders, so the ties
+        also span block borders inside one root."""
+        monkeypatch.setattr(eur.bounds, "_STACK_BUDGET", budget)
+        chain = MeasurementChain((eur.computational_basis(4),) * 8)
+        for search in (eur.deutsch_multi_bound_best_order, eur.mu_multi_bound_best_order):
+            val, order = search(chain)
+            assert (val, order) == (0.0, tuple(range(8)))
+            assert math.copysign(1.0, val) == 1.0
 
     def test_mu_best_order_dominates_input_order(self):
         for seed in range(10):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -499,14 +500,35 @@ class TestBatchedScan:
         a, phi = np.full(steps, 0.7), np.linspace(-1.0, 7.0, steps)
         stacks, bank = [], cli._overlap_bank
 
-        def recording_bank(v):
-            stacks.append(v.shape[0])
-            return bank(v)
+        def recording_bank(v, *fixed):
+            if fixed:  # a block's bank; the first call takes the tables of the two fixed bases
+                stacks.append(v.shape[0])
+            return bank(v, *fixed)
 
         monkeypatch.setattr(cli, "_overlap_bank", recording_bank)
         names = list(SCAN_ORACLE)
         assert _bits(cli._scan_rows(a, phi, names)) == _bits(loop_scan_rows(a, phi, names))
         assert stacks == [cli._SCAN_BLOCK, cli._SCAN_BLOCK, 3]
+
+    def test_fixed_bases_products_are_taken_once_per_scan(self, monkeypatch):
+        """The first two bases depend on neither a nor phi: their 4 products are taken once, and each
+        grid point takes only the 5 that involve the third basis, 3 of them its rows against all."""
+        steps = 2 * cli._SCAN_BLOCK + 3
+        a, phi = np.linspace(0.0, 1.0, steps), np.full(steps, 0.4)
+        products, inner = [], eur.core._inner
+
+        def counting_inner(u, w):
+            out = inner(u, w)
+            products.append(out.size // 9)  # d = 3: one 3 x 3 product per table
+            return out
+
+        monkeypatch.setattr(eur.core, "_inner", counting_inner)
+        names = list(SCAN_ORACLE)
+        rows = cli._scan_rows(a, phi, names)
+        assert products == [4] + [3 * k if i % 2 == 0 else 2 * k
+                                  for k in (cli._SCAN_BLOCK, cli._SCAN_BLOCK, 3) for i in range(2)]
+        monkeypatch.undo()
+        assert _bits(rows) == _bits(loop_scan_rows(a, phi, names))
 
     def test_parameters_are_checked_before_the_bases(self, monkeypatch):
         def rejecting_bank(v):
@@ -770,6 +792,21 @@ class TestSpotWorker:
         assert time.monotonic() - start < 30.0
         assert len(forks) == 1
         self._assert_no_child_left()
+
+    def test_killed_worker_runs_the_spot_checks_in_process(self, tmp_path, capsys, monkeypatch, forks):
+        """A worker that dies without writing its result (a signal, the OOM killer) costs a rerun of
+        the spot checks here, not the output or the exit code."""
+        parent, spot_checks = os.getpid(), cli.spot_check_inequalities
+
+        def killed_in_the_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return spot_checks(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "spot_check_inequalities", killed_in_the_worker)
+        worker, serial = self._worker_then_serial(self._chain(tmp_path, "state-weighted"), capsys, monkeypatch, forks)
+        assert worker == serial
+        assert serial[0] == 0 and serial[1].endswith("CERTIFIED\n")
 
     def test_failed_fork_runs_the_spot_checks_in_process(self, tmp_path, capsys, monkeypatch):
         def failing():

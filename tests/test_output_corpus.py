@@ -61,7 +61,7 @@ def test_calls_missing_on_either_side_differ():
 
 def test_corpus_size_and_distinct_ids():
     calls = output_corpus.corpus_calls()
-    assert len(calls) == 348
-    assert sum(argv[0] == "bounds" for argv in calls) == 116
+    assert len(calls) == 350
+    assert sum(argv[0] == "bounds" for argv in calls) == 118
     assert sum(argv[0] == "verify" for argv in calls) == 211
     assert len({" ".join(argv) for argv in calls}) == len(calls)

@@ -14,7 +14,7 @@ stdout, stderr (its temporary directory replaced by ``<tmp>``) and the sha256 of
 call wrote.  Every call whose record differs is printed with each of its differing lines; the
 exit code is 1 if any call differs, else 0.  The temporary directories are removed.
 
-The corpus (348 calls):
+The corpus (350 calls):
 
 * chains: ``mub_set(d)`` for d = 2, 3, 5, ``mub_set(2, 2)``, and ``generate --kind random`` chains
   with d = 2..4, N = 2..4 and seeds 1 and 11;
@@ -26,6 +26,9 @@ The corpus (348 calls):
 * two deep ``generate --kind random`` chains (``DEEP_CHAINS``), d = 2 with N = 7 and d = 3 with
   N = 8, seed 1, with only ``bounds --best-order`` and ``--state --best-order``: order searches
   whose roots run several levels deep;
+* a tie-heavy deep chain (``TIED_CHAINS``), ``mub_set(3)``'s four bases twice over (N = 8), with
+  ``bounds --best-order`` and ``--orders min --best-order``: many orders share the best value, so
+  the lexicographically first must win across the search's blocks;
 * two edge states: ``verify --mode state`` with default samples on a d = 1 chain, whose Born
   probabilities can round to 1 + 2^-52, and ``bounds --state`` on ``mub_set(2)`` with
   rho = diag(1 + 5e-11, -5e-11), a negative eigenvalue above the constructor's floor;
@@ -53,6 +56,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("exit", "stdout", "stderr", "files")
 DEEP_CHAINS = {"rnd_d2_n7_s1": ("random", 2, 7, 1), "rnd_d3_n8_s1": ("random", 3, 8, 1)}  # searched only
+TIED_CHAINS = {"mub3_twice": ("mub-cycle", 3, 8, None)}  # searched only; mub_set(3) repeated to N = 8
 
 
 def corpus_chains() -> dict:
@@ -63,7 +67,7 @@ def corpus_chains() -> dict:
         for n in (2, 3, 4):
             for seed in (1, 11):
                 chains[f"rnd_d{d}_n{n}_s{seed}"] = ("random", d, n, seed)
-    return chains | DEEP_CHAINS
+    return chains | DEEP_CHAINS | TIED_CHAINS
 
 
 def corpus_calls() -> list[list[str]]:
@@ -73,6 +77,9 @@ def corpus_calls() -> list[list[str]]:
         chain, state = ["--input", f"{stem}.json"], ["--state", f"rho{d}.json"]
         if stem in DEEP_CHAINS:
             calls += [["bounds", *chain, "--best-order"], ["bounds", *chain, *state, "--best-order"]]
+            continue
+        if stem in TIED_CHAINS:
+            calls += [["bounds", *chain, "--best-order"], ["bounds", *chain, "--orders", "min", "--best-order"]]
             continue
         for flags in ([], ["--best-order"], ["--orders", "min"], state, [*state, "--best-order"]):
             calls.append(["bounds", *chain, *flags])
@@ -137,7 +144,12 @@ def run_corpus() -> list[dict]:
         os.chdir(work)
         (work / "out").mkdir()
         for stem, (kind, d, count, seed) in corpus_chains().items():
-            bases = mub_set(d, count) if kind == "mub" else [random_basis(d, seed + k) for k in range(count)]
+            if kind == "random":
+                bases = [random_basis(d, seed + k) for k in range(count)]
+            elif kind == "mub":
+                bases = mub_set(d, count)
+            else:  # "mub-cycle": the whole set repeated to ``count`` bases
+                bases = [mub_set(d)[k % (d + 1)] for k in range(count)]
             write_measurement_set(f"{stem}.json", bases)
         for d in (2, 3, 4, 5):
             write_density_matrix(f"rho{d}.json", random_density_matrix(d, d, 100 + d))
