@@ -130,14 +130,14 @@ def _beside(here, there):
 
     The worker is a copy of this process, so it computes the bits a call in process would and
     starts without importing anything (a spawned interpreter would import numpy again).  It
-    pickles ``(True, result)`` or ``(False, exception)`` into a pipe and always ends with
-    ``os._exit``, 0 once the whole message is written: no buffered output is flushed twice and no
-    at-exit handler runs.  The worker's exception is raised again here.  The worker is reaped
-    before this returns, and killed first if anything raises here, ``KeyboardInterrupt``
-    included.  Without ``os.fork``, with fewer than two CPUs, or when ``os.fork`` fails, both run
-    in this process, ``here`` first, so that an exception of ``here`` wins either way; a worker
-    that ends without its whole result (killed by a signal, say) has ``there`` run here after
-    ``here``, with the same output.
+    pickles ``there()`` into a pipe and always ends with ``os._exit``: 0 once the whole message is
+    written, 1 otherwise, so no buffered output is flushed twice and no at-exit handler runs.  The
+    worker is reaped before this returns, and killed first if anything raises here,
+    ``KeyboardInterrupt`` included.  Its result is taken only from an exit status of 0; any other
+    end (``there`` raised, the write failed, a signal) has ``there`` run here after ``here``, and
+    ``there`` gives the same result or raises the same error wherever it runs.  Without
+    ``os.fork``, with fewer than two CPUs, or when ``os.fork`` fails, both run in this process,
+    ``here`` first, so that an exception of ``here`` wins either way.
     """
     if not hasattr(os, "fork") or _cpus() < 2:
         return here(), there()
@@ -154,12 +154,8 @@ def _beside(here, there):
         code = 1
         try:
             os.close(read_end)
-            try:
-                message = pickle.dumps((True, there()))
-            except BaseException as exc:
-                message = pickle.dumps((False, exc))
             with open(write_end, "wb") as pipe:
-                pipe.write(message)
+                pipe.write(pickle.dumps(there()))
             code = 0
         finally:
             os._exit(code)
@@ -175,12 +171,7 @@ def _beside(here, there):
             raise
         finally:
             status = os.waitpid(pid, 0)[1]
-    if status:
-        return mine, there()
-    ok, theirs = pickle.loads(message)
-    if not ok:
-        raise theirs
-    return mine, theirs
+    return mine, there() if status else pickle.loads(message)
 
 
 def cmd_verify(args) -> int:

@@ -714,7 +714,8 @@ class TestVerify:
 class TestSpotWorker:
     """``verify`` runs its spot checks in a forked worker beside the minimizer where two CPUs are
     available; on one CPU, and where ``os.fork`` fails, it runs them in process with the same output.
-    No call leaves a child process behind."""
+    A worker that ends without its whole result, by an error or a signal, has them run again in
+    process.  The autouse guard of ``conftest.py`` checks that no call leaves a child behind."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -735,11 +736,6 @@ class TestSpotWorker:
         write_measurement_set(path, eur.mub_set(dim, count))
         return ["verify", "--input", str(path), *argv]
 
-    @staticmethod
-    def _assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def _worker_then_serial(self, argv, capsys, monkeypatch, forks):
         """(exit code, stdout, stderr) of ``argv`` with the worker, then on the serial path."""
         runs = []
@@ -748,7 +744,6 @@ class TestSpotWorker:
             before = len(forks)
             runs.append((main(argv), *capsys.readouterr()))
             assert len(forks) - before == (cpus == 2)
-            self._assert_no_child_left()
         return runs
 
     @pytest.mark.parametrize("mode", ["state", "memory", "state-min", "memory-dim-b-3"])
@@ -766,6 +761,7 @@ class TestSpotWorker:
         assert worker[0] == 1 and worker[1].endswith("VERIFICATION FAILED\n")
 
     def test_worker_error_is_one_error_line(self, tmp_path, capsys, monkeypatch, forks):
+        """An error of the spot checks fails the worker and then the rerun here, which prints it."""
         def broken(*args, **kwargs):
             raise ValueError("spot checks failed")
 
@@ -773,6 +769,20 @@ class TestSpotWorker:
         argv = self._chain(tmp_path, "memory")
         worker, serial = self._worker_then_serial(argv, capsys, monkeypatch, forks)
         assert worker == serial == (2, "", "error: spot checks failed\n")
+
+    def test_error_in_the_worker_only_runs_the_spot_checks_in_process(self, tmp_path, capsys, monkeypatch, forks):
+        """An error that only the worker meets is not the spot checks' error: the rerun here decides."""
+        parent, spot_checks = os.getpid(), cli.spot_check_inequalities
+
+        def failing_in_the_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError("worker only")
+            return spot_checks(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "spot_check_inequalities", failing_in_the_worker)
+        worker, serial = self._worker_then_serial(self._chain(tmp_path, "state-weighted"), capsys, monkeypatch, forks)
+        assert worker == serial
+        assert serial[0] == 0 and serial[1].endswith("CERTIFIED\n")
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_minimizer_error_kills_and_reaps_the_worker(self, tmp_path, monkeypatch, forks, error):
@@ -791,7 +801,6 @@ class TestSpotWorker:
             main(self._chain(tmp_path, "state-weighted"))
         assert time.monotonic() - start < 30.0
         assert len(forks) == 1
-        self._assert_no_child_left()
 
     def test_killed_worker_runs_the_spot_checks_in_process(self, tmp_path, capsys, monkeypatch, forks):
         """A worker that dies without writing its result (a signal, the OOM killer) costs a rerun of
@@ -840,8 +849,10 @@ class TestParser:
 
 
 # (subcommand, arguments, message) of calls that break one flag rule: a flag the variant does not read,
-# a missing required flag, an integer flag below its floor.  "{chain}" is a qubit MUB pair, "{out}" the output.
+# a missing required flag, an integer flag below its floor, a value its subcommand rejects.  "{chain}" is
+# a qubit MUB pair, "{out}" the output.
 _SCAN = ["--family", "paper-d3", "--range", "0:1", "--out", "{out}"]
+_PHI_SCAN = ["--family", "paper-d3", "--param", "phi", "--steps", "3", "--a", "0.5", "--out", "{out}"]
 _VERIFY = ["--input", "{chain}", "--restarts", "1", "--samples", "1"]
 FLAG_RULE_ERRORS = [
     ("scan", [*_SCAN, "--param", "phi", "--steps", "3", "--a", "0.5", "--phi", "1"], "--phi applies to --param a only"),
@@ -859,6 +870,9 @@ FLAG_RULE_ERRORS = [
     ("generate", ["--out", "{out}", "--kind", "mub", "--dim", "3", "--count", "0"], "--count must be positive, got 0"),
     ("generate", ["--out", "{out}", "--kind", "random", "--dim", "3", "--seed", "-1"],
      "--seed must be non-negative, got -1"),
+    ("scan", [*_PHI_SCAN, "--range", "x:1"], "range endpoints must be numbers, got 'x:1'"),
+    ("scan", [*_PHI_SCAN, "--range", "1:0"], "range start must not exceed stop, got '1:0'"),
+    ("scan", [*_PHI_SCAN, "--range", "0:1", "--bounds", ","], "no bounds requested"),
 ]
 
 

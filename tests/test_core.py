@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 import eur
 from eur.core import NORM_TOL, DensityMatrix, MeasurementBasis, MeasurementChain, PureState, _overlap_bank
 from eur.entropy import shannon_entropy, von_neumann_entropy
-from helpers import random_chain, random_pure_density
+from helpers import mub_chain, random_chain, random_pure_density
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -88,6 +88,34 @@ def test_empty_matrix_is_rejected(make, name):
     with pytest.raises(ValueError) as exc:
         make(np.zeros((0, 0)))
     assert str(exc.value) == f"{name} must be non-empty, got shape (0, 0)"
+
+
+# Library calls that reject their input before any arithmetic, with the message each gives.
+REJECTED_CALLS = [
+    pytest.param(lambda: eur.chain_coefficients(mub_chain(2, 2), DensityMatrix(np.eye(3) / 3)),
+                 "dimension mismatch: chain dim 2 vs state dim 3", id="chain_coefficients"),
+    pytest.param(lambda: DensityMatrix(np.ones((2, 3))),
+                 "density matrix must be a square 2-D array, got shape (2, 3)", id="DensityMatrix"),
+    pytest.param(lambda: eur.BipartiteState(DensityMatrix(np.eye(4) / 4), 0, 2),
+                 "subsystem dimensions must be positive", id="BipartiteState"),
+    pytest.param(lambda: eur.BipartiteState.from_pure([1, 0, 0], 2, 2),
+                 "vector length 3 does not match dim_a * dim_b = 4", id="BipartiteState.from_pure"),
+    pytest.param(lambda: eur.outcome_distribution(eur.computational_basis(2),
+                                                  DensityMatrix(np.diag([1.1, -0.1]), validate=False)),
+                 "outcome probability below the eigenvalue floor: -1.000e-01", id="outcome_distribution"),
+    pytest.param(lambda: eur.partial_trace(eur.maximally_entangled(2), "C"),
+                 "keep must be 'A' or 'B', got 'C'", id="partial_trace"),
+    pytest.param(lambda: shannon_entropy([[0.5, 0.5]]),
+                 "probability vector must be non-empty and 1-D, got shape (1, 2)", id="shannon_entropy"),
+    pytest.param(lambda: eur.maximally_entangled(0), "dimension must be positive, got 0", id="maximally_entangled"),
+]
+
+
+@pytest.mark.parametrize("call, message", REJECTED_CALLS)
+def test_rejected_input_gives_its_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestMeasurementChain:
