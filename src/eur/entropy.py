@@ -31,7 +31,7 @@ def _clean_probs(p) -> np.ndarray:
         raise ValueError("probability vector contains non-finite entries")
     if p.min() < -PROB_NEG_TOL:
         raise ValueError(f"probability vector has negative entry {p.min():.3e}")
-    p = np.where(p < 0.0, 0.0, p)
+    p = p.clip(0.0, 1.0)
     total = p.sum()
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"probability vector sums to {total!r}, not 1")
@@ -65,12 +65,11 @@ def _entropy_rows_of_order(p: np.ndarray, alpha: float) -> np.ndarray:
         return np.maximum(-(q * np.log2(q)).sum(axis=-1), 0.0)
     if math.isinf(alpha):
         return np.maximum(-np.log2(p.max(axis=-1)), 0.0)
-    # log(sum p^alpha) computed as log1p(sum (p^alpha - p)) to stay accurate when alpha is close
-    # to 1 and the power sum is close to 1.  A power sum below 2^-26 keeps too few digits next to 1
-    # (or underflows to 0, giving log 0), so there it is alpha log m + log sum (p/m)^alpha, m = max p.
-    power = np.power(p, alpha)
-    tiny = power.sum(axis=-1) < 2.0**-26
-    log_sum = np.log1p(np.where(tiny, 0.0, (power - p).sum(axis=-1)))
+    # log sum p^alpha; a power sum below the smallest normal float has underflowed or lost digits,
+    # so there it is alpha log m + log sum (p/m)^alpha, m = max p
+    power_sum = np.power(p, alpha).sum(axis=-1)
+    tiny = power_sum < np.finfo(float).tiny
+    log_sum = np.log(np.where(tiny, 1.0, power_sum))
     if tiny.any():
         m = p.max(axis=-1, keepdims=True)
         scaled = alpha * np.log(m[..., 0]) + np.log(np.power(p / m, alpha).sum(axis=-1))
@@ -78,13 +77,9 @@ def _entropy_rows_of_order(p: np.ndarray, alpha: float) -> np.ndarray:
     return np.maximum(log_sum / ((1.0 - alpha) * math.log(2.0)), 0.0)
 
 
-def _plogp_sum(p: np.ndarray) -> float:
-    return float(_entropy_rows(p[None, :], (1.0,))[0])
-
-
 def shannon_entropy(p) -> float:
     """H(p) = -sum p_i log2 p_i with the 0*log(0) = 0 convention."""
-    return _plogp_sum(_clean_probs(p))
+    return renyi_entropy(p, 1.0)
 
 
 def renyi_entropy(p, alpha: float) -> float:
@@ -123,7 +118,7 @@ def _memory_entropies(joints: np.ndarray, dim_a: int, dim_b: int, bras: np.ndarr
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -tr(rho log2 rho) >= +0.0 from the ``eigvalsh`` spectrum, entries at or below ``LOG_CUTOFF`` as 0."""
-    return _plogp_sum(np.linalg.eigvalsh(rho.matrix))
+    return float(_entropy_rows(np.linalg.eigvalsh(rho.matrix), (1.0,)))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -122,15 +122,19 @@ def scan_csv(names, rows):
 
 
 def kept_entries_renyi_entropy(p, alpha):
-    """Renyi entropy of a probability vector from its entries above ``LOG_CUTOFF`` only."""
+    """Renyi entropy of a probability vector, one order at a time.
+
+    The Shannon sum takes the entries above ``LOG_CUTOFF`` only; a finite order
+    is log(sum p^alpha) / ((1 - alpha) ln 2) over every entry, for rows whose
+    power sum does not underflow.
+    """
     p = np.asarray(p, dtype=float)
     if alpha == 1.0:
         q = p[p > LOG_CUTOFF]
         return float(-(q * np.log2(q)).sum())
     if math.isinf(alpha):
         return float(-np.log2(p.max()))
-    delta = float((np.power(p, alpha) - p).sum())
-    return float(np.log1p(delta) / ((1.0 - alpha) * math.log(2.0)))
+    return float(np.log(np.power(p, alpha).sum()) / ((1.0 - alpha) * math.log(2.0)))
 
 
 def loop_state_from_angles(x, dim):

@@ -16,6 +16,9 @@ H2_QUARTER = 0.6780719051126377         # -log2(1/16 + 9/16)
 HINF_QUARTER = 0.4150374992788438       # -log2(3/4)
 COND_SCHMIDT_9_1 = -0.4689955935892812  # 2*h2(0.9) - ... for schmidt weights (.9,.1)
 
+# seeded Dirichlet rows: d = 16 and 64, concentrations 0.1 and 1
+DIRICHLET_ROWS = [np.random.default_rng(7).dirichlet(np.full(d, c)) for d in (16, 64) for c in (0.1, 1.0)]
+
 
 class TestShannon:
     def test_uniform(self):
@@ -75,10 +78,12 @@ class TestRenyi:
         for alpha in (0.5, 1.0, 2.0, math.inf):
             assert eur.renyi_entropy([0.25] * 4, alpha) == pytest.approx(2.0, abs=1e-12)
 
-    @pytest.mark.parametrize("alpha", [60.0, 200.0, 1e4, 1e300])
-    @pytest.mark.parametrize("p", [[0.5, 0.5], [0.25, 0.75], [0.1, 0.2, 0.7]])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.9, 1.1, 1.7, 2.0, 4.0, 5.0, 25.0, 60.0, 80.0,
+                                       200.0, 500.0, 1e4, 1e300])
+    @pytest.mark.parametrize("p", [[0.5, 0.5], [0.25, 0.75], [0.1, 0.2, 0.7]] + DIRICHLET_ROWS)
     def test_large_finite_orders(self, p, alpha):
-        # sum p^alpha underflows next to 1, where the log1p form alone would give log 0
+        # from orders near 1 to orders whose power sum underflows, where the kernel scales by max p;
+        # near 1 the error grows as 1e-16 / |1 - alpha|
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(60):
             power_sum = sum(mpmath.mpf(x) ** mpmath.mpf(alpha) for x in p)
@@ -87,7 +92,7 @@ class TestRenyi:
             warnings.simplefilter("error")
             got = eur.renyi_entropy(p, alpha)
         assert math.isfinite(got)
-        assert got == pytest.approx(want, abs=1e-10)
+        assert got == pytest.approx(want, abs=5e-15)
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError, match="order"):
@@ -146,9 +151,10 @@ ROUNDED_UP = [1.0 + 2.0**-52, 0.0]  # a certain outcome one ulp above 1, as a Bo
     lambda: eur.renyi_entropy(ROUNDED_UP, 0.5),
     lambda: eur.renyi_entropy(ROUNDED_UP, 2.0),
     lambda: eur.renyi_entropy(ROUNDED_UP, math.inf),
+    lambda: eur.renyi_entropy(ROUNDED_UP, 1e300),  # (1 + 2^-52)^1e300 would overflow
     lambda: eur.von_neumann_entropy(DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))),  # eigenvalue above the floor
 ], ids=["shannon", "min", "renyi-2", "von-neumann", "rounded-up-shannon", "rounded-up-renyi-0.5",
-        "rounded-up-renyi-2", "rounded-up-min", "von-neumann-negative-eigenvalue"])
+        "rounded-up-renyi-2", "rounded-up-min", "rounded-up-renyi-1e300", "von-neumann-negative-eigenvalue"])
 def test_certain_outcome_has_positive_zero_entropy(entropy):
     value = entropy()
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
