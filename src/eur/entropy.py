@@ -31,11 +31,11 @@ def _clean_probs(p) -> np.ndarray:
         raise ValueError("probability vector contains non-finite entries")
     if p.min() < -PROB_NEG_TOL:
         raise ValueError(f"probability vector has negative entry {p.min():.3e}")
-    p = p.clip(0.0, 1.0)
+    p = p.clip(0.0)
     total = p.sum()
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"probability vector sums to {total!r}, not 1")
-    return p
+    return p.clip(max=1.0)
 
 
 def _entropy_rows(p: np.ndarray, alphas) -> np.ndarray:
