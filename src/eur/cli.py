@@ -192,7 +192,7 @@ def cmd_verify(args) -> int:
                             lambda: spot_check_inequalities(chain, samples=args.samples, seed=args.seed))
 
     print(f"objective_min = {result.objective_min:.12g}")
-    print(f"converged restarts: {result.converged_restarts}/{config.restarts}")
+    print(f"converged restarts: {result.converged_restarts}/{result.restarts}")
     for name, slack in result.slack_per_bound.items():
         print(f"slack {name.value:<16} {slack:.3e}")
     for name, slack in spots.items():

@@ -12,6 +12,11 @@ the larger of a fixed 2000 and scipy's Nelder-Mead default, per run; a restart
 that has not converged is run again from where it stopped, up to
 ``RESTART_PASSES`` runs in all, and counts as converged if any run converged.
 
+Memory mode with d_B >= d_A needs no search.  H(M|B) >= 0 for a measured outcome,
+and the maximally entangled state Phi on A and the first d_A levels of B makes
+every term 0, so Phi is an exact minimizer.  ``config.restarts`` is unused there:
+the result counts one start, which converged (``converged restarts: 1/1``).
+
 All restarts run together in one batched Nelder-Mead,
 ``neldermead._nelder_mead``, which follows scipy's ``_minimize_neldermead``
 step for step on a stack of simplices (scipy itself is not used).  Each
@@ -27,9 +32,10 @@ memory-mode objective builds no state objects: for a pure joint state
 H(M|B) = H(M) - S(rho_B), with S(rho_B) from the ``eigvalsh`` spectrum of the
 smaller Gram matrix of the amplitude matrix.
 
-The spot checks (drawn and evaluated a block at a time), memory mode's mixed
-samples and the minimizers' slacks read every bound's left-hand side and value
-from the gap kernels ``bounds._state_gaps`` and ``bounds._memory_gaps``.
+The spot checks (drawn and evaluated a block at a time, then three fixed states
+where the bounds are attained: I/d, Phi and I/d (x) I/d on d x d), memory mode's
+mixed samples and the minimizers' slacks read every bound's left-hand side and
+value from the gap kernels ``bounds._state_gaps`` and ``bounds._memory_gaps``.
 
 The spot checks are independent of the minimizers: they draw from their own
 random stream and read nothing the minimizers compute, so ``eur verify`` may
@@ -39,6 +45,7 @@ serially in the calling process.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -69,9 +76,11 @@ def _slacks_hold(slacks: dict) -> bool:
 
 
 class VerificationResult(_Record):
-    def __init__(self, objective_min: float, minimizer, slack_per_bound: dict, converged_restarts: int):
+    def __init__(self, objective_min: float, minimizer, slack_per_bound: dict, converged_restarts: int,
+                 restarts: int):
         super().__init__(objective_min=objective_min, minimizer=minimizer,  # PureState or BipartiteState
-                         slack_per_bound=slack_per_bound, converged_restarts=converged_restarts)
+                         slack_per_bound=slack_per_bound, converged_restarts=converged_restarts,
+                         restarts=restarts)  # the starts that ran: config.restarts, or 1 for an exact minimum
 
     @property
     def certified(self) -> bool:
@@ -154,6 +163,12 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
     the sum of two BLAS dot products, here row by row as (1, dim) @ (dim, 1) products."""
     re, im = z.real[..., None, :], z.imag[..., None, :]
     return z / np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
+
+
+def _entangled(da: int, db: int) -> BipartiteState:
+    """The maximally entangled state sum_i |ii> / sqrt(d_A) on A and the first d_A of B's d_B >= d_A
+    levels.  Each measured outcome of A is then known from B: every H(M|B) is 0, the least it can be."""
+    return BipartiteState.from_pure(np.eye(da, db).ravel() / math.sqrt(da), da, db)
 
 
 def _best_restart(objective, dim: int, config: MinimizationConfig, stream: int):
@@ -255,7 +270,7 @@ def minimize_entropy_sum(
         w_rho = PureState(_state_from_angles(w_x, chain.dim)).projector().matrix[None]
         slacks[BoundName.WEIGHTED] = w_value - float(_state_gaps(chain, w_rho)[BoundName.WEIGHTED][1][0])
         converged = min(converged, w_conv)
-    return VerificationResult(value, psi, slacks, converged)
+    return VerificationResult(value, psi, slacks, converged, config.restarts)
 
 
 def minimize_conditional_entropy_sum(
@@ -265,24 +280,30 @@ def minimize_conditional_entropy_sum(
 ) -> VerificationResult:
     """Minimize sum_m H(M_m|B) over pure bipartite states with a dim_b memory.
 
-    Slacks are taken against the memory bounds at the minimizer; on top of the
-    pure-state search, random mixed joint states are spot-checked against the
-    general memory bound and the worst case is folded into its slack.
+    With dim_b >= d_A the minimum is exactly 0, at Phi (``_entangled``): no search
+    runs, ``config.restarts`` is unused, and the result counts one converged start.
+    Below that the pure states are searched.  Slacks are taken against the memory
+    bounds at the minimizer; random mixed joint states are spot-checked against
+    the general memory bound and the worst case is folded into its slack.
     """
     if dim_b < 1:
         raise ValueError(f"dim_b must be positive, got {dim_b}")
     da = chain.dim
     total = da * dim_b
-    x, value, converged = _best_restart(_memory_objective(chain, dim_b), total, config, stream=2)
-    rho_best = BipartiteState.from_pure(_state_from_angles(x, total), da, dim_b)
+    if dim_b >= da:  # the exact minimum, at Phi: no search; the value is read at Phi below
+        rho_best, value, converged, restarts = _entangled(da, dim_b), None, 1, 1
+    else:
+        x, value, converged = _best_restart(_memory_objective(chain, dim_b), total, config, stream=2)
+        rho_best, restarts = BipartiteState.from_pure(_state_from_angles(x, total), da, dim_b), config.restarts
     rng = np.random.default_rng([config.seed, 3])
     mixed = [_gaussian_gram(total, int(rng.integers(1, total + 1)), rng) for _ in range(MIXED_SPOT_SAMPLES)]
     # row 0 is the minimizer, the other rows the mixed samples
     gaps = _memory_gaps(chain, np.concatenate([rho_best.matrix[None], _unit_trace(np.array(mixed))]), dim_b)
     lhs, bound = gaps[BoundName.MEMORY_MULTI]
+    value = float(lhs[0]) if value is None else value
     slacks = {BoundName.MEMORY_MULTI: min(value - float(bound[0]), float((lhs - bound)[1:].min())),
               BoundName.MEMORY_PURE: value - float(gaps[BoundName.MEMORY_PURE][1][0])}
-    return VerificationResult(value, rho_best, slacks, converged)
+    return VerificationResult(value, rho_best, slacks, converged, restarts)
 
 
 def _spot_states(rng: np.random.Generator, d: int, count: int):
@@ -315,18 +336,24 @@ def _check_samples(samples: int) -> None:
 
 
 def spot_check_inequalities(chain: MeasurementChain, samples: int = 200, seed: int = 0) -> dict:
-    """Evaluate every inequality on random states; return the worst slack per bound.
+    """Evaluate every inequality on random states and on three fixed ones; return the worst slack
+    per bound.
 
     Each round draws a Haar-random pure state, a random mixed state, and pure
     and mixed bipartite states with a memory of the chain's own dimension.
     Rounds are drawn and then evaluated together, ``SPOT_BLOCK`` at a time.
+    After them come the states where the bounds are attained, which random
+    draws never reach: I/d, and on d x d the maximally entangled state and
+    I/d (x) I/d.
     """
     _check_samples(samples)
     rng = np.random.default_rng([seed, 4])
+    d = chain.dim
+    fixed = (np.eye(d)[None] / d, np.stack([_entangled(d, d).matrix, np.eye(d * d) / (d * d)]))
+    blocks = (_spot_states(rng, d, min(SPOT_BLOCK, samples - start)) for start in range(0, samples, SPOT_BLOCK))
     worst: dict = {}
-    for start in range(0, samples, SPOT_BLOCK):
-        rhos, joints = _spot_states(rng, chain.dim, min(SPOT_BLOCK, samples - start))
-        for name, (lhs, bound) in {**_state_gaps(chain, rhos), **_memory_gaps(chain, joints, chain.dim)}.items():
+    for rhos, joints in itertools.chain(blocks, [fixed]):
+        for name, (lhs, bound) in {**_state_gaps(chain, rhos), **_memory_gaps(chain, joints, d)}.items():
             gap = (lhs - bound)[0::2] if name is BoundName.MEMORY_PURE else lhs - bound  # pure joints only
             worst[name] = min(worst.get(name, math.inf), float(gap.min()))
     return worst

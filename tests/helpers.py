@@ -24,7 +24,7 @@ from eur.bounds import (
     mu_multi_bound_best_order,
     scb_max_bound,
 )
-from eur.core import BipartiteState, PureState, outcome_distribution
+from eur.core import BipartiteState, DensityMatrix, PureState, outcome_distribution
 from eur.entropy import LOG_CUTOFF, measured_conditional_entropy, renyi_entropy, shannon_entropy
 from eur.generators import parametric_d3_chain, random_density_matrix
 from eur.neldermead import _FATOL, _XATOL
@@ -272,6 +272,8 @@ def loop_spot_check_inequalities(chain, samples=200, seed=0):
 
     Each round draws a Haar-random pure state, a random mixed state, and pure
     and mixed bipartite states with a memory of the chain's own dimension.
+    After the rounds come three fixed states: I/d, the maximally entangled
+    state on d x d and I/d (x) I/d.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -283,10 +285,8 @@ def loop_spot_check_inequalities(chain, samples=200, seed=0):
     def update(name, gap):
         worst[name] = min(worst.get(name, math.inf), gap)
 
-    for _ in range(samples):
-        pure = PureState(loop_haar_vector(rng, d)).projector()
-        mixed = random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
-        for rho in (pure, mixed):
+    def check(rhos, joints):
+        for rho in rhos:
             probs = [outcome_distribution(b, rho) for b in chain]
             h = [shannon_entropy(p) for p in probs]
             h_min = [renyi_entropy(p, math.inf) for p in probs]
@@ -300,9 +300,7 @@ def loop_spot_check_inequalities(chain, samples=200, seed=0):
                 lhs = sum(w * hm for w, hm in zip(WEIGHTED_WEIGHTS, h))
                 update(BoundName.WEIGHTED, lhs - bound["WEIGHTED"])
 
-        pure_ab = BipartiteState.from_pure(loop_haar_vector(rng, d * d), d, d)
-        mixed_ab = BipartiteState(random_density_matrix(d * d, int(rng.integers(1, d * d + 1)), rng), d, d)
-        for rho_ab, is_pure in ((pure_ab, True), (mixed_ab, False)):
+        for rho_ab, is_pure in joints:
             hc = [measured_conditional_entropy(b, rho_ab) for b in chain]
             bound = oracle.memory_bounds(chain, rho_ab.joint.matrix, d)
             update(BoundName.MEMORY_MULTI, sum(hc) - bound["MEMORY_MULTI"])
@@ -310,6 +308,15 @@ def loop_spot_check_inequalities(chain, samples=200, seed=0):
                 update(BoundName.MEMORY_PURE, sum(hc) - bound["MEMORY_PURE"])
             for m in range(n - 1):
                 update(BoundName.BERTA_TWO, hc[m] + hc[m + 1] - bound["BERTA_TWO"][m])
+
+    for _ in range(samples):
+        pure = PureState(loop_haar_vector(rng, d)).projector()
+        mixed = random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
+        pure_ab = BipartiteState.from_pure(loop_haar_vector(rng, d * d), d, d)
+        mixed_ab = BipartiteState(random_density_matrix(d * d, int(rng.integers(1, d * d + 1)), rng), d, d)
+        check((pure, mixed), ((pure_ab, True), (mixed_ab, False)))
+    check([DensityMatrix(np.eye(d) / d)],
+          [(eur.maximally_entangled(d), True), (BipartiteState(DensityMatrix(np.eye(d * d) / (d * d)), d, d), False)])
     return worst
 
 

@@ -36,8 +36,8 @@ def mub_pair_file(tmp_path):
 
 
 # (dim, count) of a mub_set file, verify arguments, stdout lines.  "state" and "memory" are the
-# benchmark's two calls; the others pin a WEIGHTED slack, a DEUTSCH_MULTI slack and a d_B = 3
-# memory run.
+# benchmark's two calls; the others pin a WEIGHTED slack, a DEUTSCH_MULTI slack, a d_B = 3 memory
+# run and a d_B < d_A memory run, the one memory case here that searches.
 GOLDEN_VERIFY = {
     "state": ((3, None), ["--mode", "state", "--seed", "1"], [
         "objective_min = 4",
@@ -46,29 +46,29 @@ GOLDEN_VERIFY = {
         "slack SCB_MAX          8.301e-01",
         "slack STATE_DEPENDENT  2.415e+00",
         "spot  DEUTSCH_MULTI    1.111e+00",
-        "spot  MU_MULTI         3.422e-01",
-        "spot  STATE_DEPENDENT  3.422e-01",
-        "spot  SCB_MAX          1.743e-01",
-        "spot  MU_TWO           4.720e-02",
-        "spot  MEMORY_MULTI     1.059e+00",
-        "spot  MEMORY_PURE      3.441e-01",
-        "spot  BERTA_TWO        2.042e-02",
+        "spot  MU_MULTI         1.776e-15",
+        "spot  STATE_DEPENDENT  0.000e+00",
+        "spot  SCB_MAX          8.882e-16",
+        "spot  MU_TWO           0.000e+00",
+        "spot  MEMORY_MULTI     3.553e-15",
+        "spot  MEMORY_PURE      2.220e-15",
+        "spot  BERTA_TWO        2.220e-16",
         "CERTIFIED",
     ]),
     "memory": ((2, None), ["--mode", "memory", "--dim-b", "2", "--restarts", "16", "--seed", "1"], [
-        "objective_min = -1.33226762955e-15",
-        "converged restarts: 16/16",
+        "objective_min = 4.4408920985e-16",
+        "converged restarts: 1/1",
         "slack MEMORY_MULTI     2.850e-01",
-        "slack MEMORY_PURE      -1.554e-15",
+        "slack MEMORY_PURE      -5.551e-16",
         "spot  DEUTSCH_MULTI    3.432e-01",
-        "spot  MU_MULTI         7.460e-02",
-        "spot  STATE_DEPENDENT  7.460e-02",
-        "spot  SCB_MAX          3.764e-02",
-        "spot  MU_TWO           1.962e-03",
-        "spot  WEIGHTED         6.281e-03",
-        "spot  MEMORY_MULTI     2.145e-01",
-        "spot  MEMORY_PURE      1.674e-02",
-        "spot  BERTA_TWO        8.670e-05",
+        "spot  MU_MULTI         -8.882e-16",
+        "spot  STATE_DEPENDENT  0.000e+00",
+        "spot  SCB_MAX          -4.441e-16",
+        "spot  MU_TWO           0.000e+00",
+        "spot  WEIGHTED         0.000e+00",
+        "spot  MEMORY_MULTI     -8.882e-16",
+        "spot  MEMORY_PURE      -5.551e-16",
+        "spot  BERTA_TWO        -3.331e-16",
         "CERTIFIED",
     ]),
     "state-weighted": ((2, None), ["--mode", "state", "--restarts", "16", "--seed", "1"], [
@@ -79,14 +79,14 @@ GOLDEN_VERIFY = {
         "slack STATE_DEPENDENT  1.000e+00",
         "slack WEIGHTED         -8.882e-16",
         "spot  DEUTSCH_MULTI    3.432e-01",
-        "spot  MU_MULTI         7.460e-02",
-        "spot  STATE_DEPENDENT  7.460e-02",
-        "spot  SCB_MAX          3.764e-02",
-        "spot  MU_TWO           1.962e-03",
-        "spot  WEIGHTED         6.281e-03",
-        "spot  MEMORY_MULTI     2.145e-01",
-        "spot  MEMORY_PURE      1.674e-02",
-        "spot  BERTA_TWO        8.670e-05",
+        "spot  MU_MULTI         -8.882e-16",
+        "spot  STATE_DEPENDENT  0.000e+00",
+        "spot  SCB_MAX          -4.441e-16",
+        "spot  MU_TWO           0.000e+00",
+        "spot  WEIGHTED         0.000e+00",
+        "spot  MEMORY_MULTI     -8.882e-16",
+        "spot  MEMORY_PURE      -5.551e-16",
+        "spot  BERTA_TWO        -3.331e-16",
         "CERTIFIED",
     ]),
     "state-min": ((3, None), ["--mode", "state", "--orders", "min", "--restarts", "16", "--seed", "1"], [
@@ -94,28 +94,43 @@ GOLDEN_VERIFY = {
         "converged restarts: 16/16",
         "slack DEUTSCH_MULTI    1.084e+00",
         "spot  DEUTSCH_MULTI    1.111e+00",
-        "spot  MU_MULTI         3.422e-01",
-        "spot  STATE_DEPENDENT  3.422e-01",
-        "spot  SCB_MAX          1.743e-01",
-        "spot  MU_TWO           4.720e-02",
-        "spot  MEMORY_MULTI     1.059e+00",
-        "spot  MEMORY_PURE      3.441e-01",
-        "spot  BERTA_TWO        2.042e-02",
+        "spot  MU_MULTI         1.776e-15",
+        "spot  STATE_DEPENDENT  0.000e+00",
+        "spot  SCB_MAX          8.882e-16",
+        "spot  MU_TWO           0.000e+00",
+        "spot  MEMORY_MULTI     3.553e-15",
+        "spot  MEMORY_PURE      2.220e-15",
+        "spot  BERTA_TWO        2.220e-16",
         "CERTIFIED",
     ]),
     "memory-dim-b-3": ((2, 2), ["--mode", "memory", "--dim-b", "3", "--restarts", "8", "--seed", "1"], [
-        "objective_min = -4.4408920985e-16",
-        "converged restarts: 8/8",
-        "slack MEMORY_MULTI     -6.661e-16",
-        "slack MEMORY_PURE      -6.661e-16",
+        "objective_min = 2.22044604925e-16",
+        "converged restarts: 1/1",
+        "slack MEMORY_MULTI     -3.331e-16",
+        "slack MEMORY_PURE      -3.331e-16",
         "spot  DEUTSCH_MULTI    1.396e-03",
-        "spot  MU_MULTI         1.962e-03",
-        "spot  STATE_DEPENDENT  1.962e-03",
-        "spot  SCB_MAX          1.962e-03",
-        "spot  MU_TWO           1.962e-03",
-        "spot  MEMORY_MULTI     1.375e-04",
-        "spot  MEMORY_PURE      1.375e-04",
-        "spot  BERTA_TWO        1.375e-04",
+        "spot  MU_MULTI         0.000e+00",
+        "spot  STATE_DEPENDENT  2.220e-16",
+        "spot  SCB_MAX          0.000e+00",
+        "spot  MU_TWO           0.000e+00",
+        "spot  MEMORY_MULTI     -3.331e-16",
+        "spot  MEMORY_PURE      -3.331e-16",
+        "spot  BERTA_TWO        -3.331e-16",
+        "CERTIFIED",
+    ]),
+    "memory-searched": ((3, None), ["--mode", "memory", "--dim-b", "2", "--restarts", "8", "--seed", "1"], [
+        "objective_min = 1.75488750216",
+        "converged restarts: 8/8",
+        "slack MEMORY_MULTI     8.965e-01",
+        "slack MEMORY_PURE      1.170e+00",
+        "spot  DEUTSCH_MULTI    1.111e+00",
+        "spot  MU_MULTI         1.776e-15",
+        "spot  STATE_DEPENDENT  0.000e+00",
+        "spot  SCB_MAX          8.882e-16",
+        "spot  MU_TWO           0.000e+00",
+        "spot  MEMORY_MULTI     3.553e-15",
+        "spot  MEMORY_PURE      2.220e-15",
+        "spot  BERTA_TWO        2.220e-16",
         "CERTIFIED",
     ]),
 }
@@ -635,14 +650,35 @@ class TestVerify:
             assert rc == 2
             assert "--dim-b applies to --mode memory only" in capsys.readouterr().err
 
-    def test_memory_mode_defaults_to_qubit_memory(self, mub_pair_file, capsys):
-        argv = ["verify", "--input", mub_pair_file, "--mode", "memory", "--restarts", "2", "--samples", "2"]
+    def test_memory_mode_defaults_to_qubit_memory(self, tmp_path, capsys):
+        """On a qutrit chain a qubit memory is searched, and a qutrit memory has its exact minimum."""
+        path = tmp_path / "mub3.json"
+        write_measurement_set(path, eur.mub_set(3, 3))
+        argv = ["verify", "--input", str(path), "--mode", "memory", "--restarts", "2", "--samples", "2"]
         assert main(argv) == 0
         default = capsys.readouterr().out
+        assert "converged restarts: 2/2\n" in default
         assert main(argv + ["--dim-b", "2"]) == 0
         assert capsys.readouterr().out == default
         assert main(argv + ["--dim-b", "3"]) == 0
-        assert capsys.readouterr().out != default
+        assert "converged restarts: 1/1\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dim,count,dim_b", [(2, 3, 2), (2, 2, 5), (3, 4, 3)])
+    def test_memory_mode_with_a_large_memory_does_not_search(self, tmp_path, capsys, monkeypatch, dim, count, dim_b):
+        """d_B >= d_A: the minimum 0 is taken at the maximally entangled state, one start."""
+
+        def never(*args):
+            raise AssertionError("the memory search ran")
+
+        monkeypatch.setattr(verifier, "_nelder_mead", never)
+        path = tmp_path / "chain.json"
+        write_measurement_set(path, eur.mub_set(dim, count))
+        argv = ["--mode", "memory", "--dim-b", str(dim_b), "--samples", "4"]
+        assert main(["verify", "--input", str(path), *argv]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert abs(float(out[0].removeprefix("objective_min = "))) <= 1e-15
+        assert out[1] == "converged restarts: 1/1"
+        assert out[-1] == "CERTIFIED"
 
     def test_state_mode_defaults_to_shannon(self, mub_pair_file, capsys):
         argv = ["verify", "--input", mub_pair_file, "--mode", "state", "--restarts", "2", "--samples", "2"]
@@ -684,7 +720,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("mode", sorted(GOLDEN_VERIFY))
     def test_benchmark_calls_print_pinned_output(self, tmp_path, capsys, mode):
-        """The benchmark's two verify calls, and three more, print these lines.  A value printed
+        """The benchmark's two verify calls, and four more, print these lines.  A value printed
         below 1e-12 in magnitude is rounding noise at an exact zero and only has to stay below 1e-12."""
         (dim, count), argv, expected = GOLDEN_VERIFY[mode]
         path = tmp_path / "chain.json"
@@ -709,6 +745,38 @@ class TestVerify:
         )
         assert rc == 2
         assert "restarts" in capsys.readouterr().err
+
+
+# Chains on which the bounds are attained, and the bounds of each verify mode that are tight there:
+# at I/d (state mode), and at the maximally entangled state and I/d x I/d (memory mode).
+TIGHT_CHAINS = {"mub2": lambda: eur.mub_set(2), "mub2x2": lambda: eur.mub_set(2, 2), "mub3": lambda: eur.mub_set(3),
+                "random3": lambda: [eur.random_basis(3, 11 + k) for k in range(3)]}  # generate --kind random --dim 3 --seed 11
+TIGHT_CELLS = (
+    [(c, "state", b) for c in ("mub2", "mub2x2", "mub3") for b in ("MU_MULTI", "STATE_DEPENDENT", "SCB_MAX", "MU_TWO")]
+    + [("mub2", "state", "WEIGHTED"), ("random3", "state", "STATE_DEPENDENT")]
+    + [(c, "memory", b) for c in ("mub2", "mub2x2", "mub3") for b in ("MEMORY_MULTI", "MEMORY_PURE", "BERTA_TWO")]
+)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+@pytest.mark.parametrize("chain,mode,bound", TIGHT_CELLS)
+def test_a_bound_raised_where_it_is_attained_fails(tmp_path, capsys, monkeypatch, chain, mode, bound, delta):
+    """A bound raised by 1e-3 on a chain where it is tight fails ``verify``, whatever the random draws;
+    not raised, it certifies.  The spot checks run in process, where the raise applies."""
+    name = eur.BoundName[bound]
+    values = eur.bounds._state_bounds if mode == "state" else eur.bounds._memory_bounds
+
+    def raised(*args, **kwargs):
+        out = values(*args, **kwargs)
+        return out | {name: out[name] + delta} if name in out else out
+
+    monkeypatch.setattr(eur.bounds, values.__name__, raised)
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    path = tmp_path / "chain.json"
+    write_measurement_set(path, TIGHT_CHAINS[chain]())
+    memory = ["--dim-b", "2"] if mode == "memory" else []
+    rc = main(["verify", "--input", str(path), "--mode", mode, *memory, "--restarts", "2", "--samples", "4"])
+    assert (rc, capsys.readouterr().out.splitlines()[-1]) == ((1, "VERIFICATION FAILED") if delta else (0, "CERTIFIED"))
 
 
 class TestSpotWorker:

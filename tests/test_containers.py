@@ -29,7 +29,7 @@ def _containers():
         "BipartiteState": eur.maximally_entangled(2),
         "BoundReport": BoundReport(BoundName.MU_MULTI, 1.0, False, (0, 1)),
         "MinimizationConfig": MinimizationConfig(restarts=8, seed=3),
-        "VerificationResult": VerificationResult(2.0, psi, {BoundName.MU_MULTI: 1.0}, 4),
+        "VerificationResult": VerificationResult(2.0, psi, {BoundName.MU_MULTI: 1.0}, 4, 8),
     }
 
 
@@ -71,13 +71,14 @@ def test_records_compare_hash_and_show_their_fields():
     assert repr(MinimizationConfig()) == "MinimizationConfig(restarts=64, seed=0)"
 
     psi = PureState(np.array([1.0, 0.0]))
-    result = VerificationResult(2.0, psi, {BoundName.MU_MULTI: 1.0}, 4)
-    assert result == VerificationResult(2.0, psi, {BoundName.MU_MULTI: 1.0}, 4)
-    assert result != VerificationResult(2.0, psi, {BoundName.MU_MULTI: 0.5}, 4)
-    assert result != VerificationResult(2.0, PureState(np.array([1.0, 0.0])), {BoundName.MU_MULTI: 1.0}, 4)
+    result = VerificationResult(2.0, psi, {BoundName.MU_MULTI: 1.0}, 4, 8)
+    assert result == VerificationResult(2.0, psi, {BoundName.MU_MULTI: 1.0}, 4, 8)
+    assert result != VerificationResult(2.0, psi, {BoundName.MU_MULTI: 0.5}, 4, 8)
+    assert result != VerificationResult(2.0, psi, {BoundName.MU_MULTI: 1.0}, 4, 16)
+    assert result != VerificationResult(2.0, PureState(np.array([1.0, 0.0])), {BoundName.MU_MULTI: 1.0}, 4, 8)
     assert repr(result) == (
         f"VerificationResult(objective_min=2.0, minimizer={psi!r}, "
-        "slack_per_bound={<BoundName.MU_MULTI: 'MU_MULTI'>: 1.0}, converged_restarts=4)"
+        "slack_per_bound={<BoundName.MU_MULTI: 'MU_MULTI'>: 1.0}, converged_restarts=4, restarts=8)"
     )
     # no record equals a container of another class with the same fields
     assert report != (BoundName.MU_MULTI, 1.0, False, (0, 1))

@@ -269,6 +269,28 @@ class TestMinimizeConditionalEntropySum:
         expected = min(pure_gap, loop_mixed_memory_gap(chain, dim_b, config.seed))
         assert abs(result.slack_per_bound[BoundName.MEMORY_MULTI] - expected) <= 1e-12
 
+    @pytest.mark.parametrize("chain,dim_b", [(mub_chain(2, 3), 2), (mub_chain(2, 2), 3), (mub_chain(3, 4), 3),
+                                             (random_chain(3, 3, seed=7), 3), (random_chain(3, 2, seed=8), 5)])
+    def test_memory_at_least_as_large_as_the_system_takes_the_exact_minimum(self, monkeypatch, chain, dim_b):
+        """With d_B >= d_A the minimum is 0, at the maximally entangled state on A and the first
+        d_A levels of B: one start that needs no search, and slacks read at that state."""
+
+        def never(*args):
+            raise AssertionError("the memory search ran")
+
+        monkeypatch.setattr(verifier, "_nelder_mead", never)
+        result = eur.minimize_conditional_entropy_sum(chain, dim_b, FAST)
+        assert abs(result.objective_min) <= 1e-15
+        assert (result.converged_restarts, result.restarts) == (1, 1)
+        assert result.certified
+        d = chain.dim
+        phi = np.eye(d, dim_b).ravel() / math.sqrt(d)
+        assert_allclose(result.minimizer.matrix, np.outer(phi, phi), atol=1e-15)
+        bound = oracle.memory_bounds(chain, result.minimizer.joint.matrix, dim_b)
+        assert abs(result.slack_per_bound[BoundName.MEMORY_PURE] + bound["MEMORY_PURE"]) <= 1e-12
+        expected = min(-bound["MEMORY_MULTI"], loop_mixed_memory_gap(chain, dim_b, FAST.seed))
+        assert abs(result.slack_per_bound[BoundName.MEMORY_MULTI] - expected) <= 1e-12
+
     def test_rejects_bad_memory_dim(self):
         with pytest.raises(ValueError, match="dim_b"):
             eur.minimize_conditional_entropy_sum(mub_chain(2, 2), dim_b=0)
@@ -462,7 +484,8 @@ class TestOptimizerHook:
         monkeypatch.setattr(verifier, "_nelder_mead", recording)
         cfg = eur.MinimizationConfig(restarts=9, seed=12)
         eur.minimize_entropy_sum(random_chain(4, 2, seed=3), config=cfg)
-        eur.minimize_conditional_entropy_sum(random_chain(2, 2, seed=4), dim_b=3, config=cfg)
+        eur.minimize_conditional_entropy_sum(random_chain(3, 2, seed=4), dim_b=2, config=cfg)
+        assert len(starts) >= 2  # and any later passes of the memory search
         for x0, dim, stream in zip(starts, (4, 6), (0, 2)):
             rng = np.random.default_rng([cfg.seed, stream])
             np.testing.assert_array_equal(x0, [loop_angles_from_state(loop_haar_vector(rng, dim)) for _ in range(9)])
@@ -478,9 +501,9 @@ class TestOptimizerHook:
 
         monkeypatch.setattr(verifier, "_nelder_mead", recording)
         cfg = eur.MinimizationConfig(restarts=1)
-        for dim_b in (2, 4):
-            eur.minimize_conditional_entropy_sum(mub_chain(2, 2), dim_b=dim_b, config=cfg)
-        assert budgets == [(6, 2000), (14, 2800)]
+        for chain in (mub_chain(3, 2), random_chain(4, 2, seed=1)):  # d_B < d_A: the memory search runs
+            eur.minimize_conditional_entropy_sum(chain, dim_b=2, config=cfg)
+        assert set(budgets) == {(10, 2000), (14, 2800)}  # a resumed pass has its run's budget
 
     def test_passes_resume_only_the_unconverged_restarts(self, monkeypatch):
         """Each pass runs the restarts not yet converged from the points where the last pass left
@@ -513,8 +536,8 @@ class TestOptimizerHook:
         assert runs == [(3, 2)] * 3
 
     def test_conditional_entropy_sum_one_run_per_multistart(self, runs):
-        eur.minimize_conditional_entropy_sum(mub_chain(2, 2), dim_b=2, config=eur.MinimizationConfig(restarts=3))
-        assert runs == [(3, 6)]
+        eur.minimize_conditional_entropy_sum(mub_chain(3, 2), dim_b=2, config=eur.MinimizationConfig(restarts=3))
+        assert runs == [(3, 10)]
 
     @pytest.mark.parametrize("order", [0, -1, math.nan])
     def test_bad_order_rejected_before_any_restart(self, runs, order):
@@ -628,7 +651,7 @@ def test_verify_paths_build_no_overlap_table(chain, monkeypatch):
     config = eur.MinimizationConfig(restarts=4, seed=0)
     eur.spot_check_inequalities(chain, samples=8, seed=0)
     eur.minimize_entropy_sum(chain, 1.0, config)
-    eur.minimize_conditional_entropy_sum(chain, 2, config)
+    eur.minimize_conditional_entropy_sum(chain, 1, config)  # d_B < d_A: the memory search runs
     assert calls["n"] == 0
 
 
