@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import pickle
 import sys
-import warnings
 
 import numpy as np
 
@@ -120,66 +118,12 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on; 1 where the platform does not say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _beside(here, there):
-    """``(here(), there())``, with ``there`` run in a forked worker while ``here`` runs in this process.
-
-    The worker is a copy of this process, so it computes the bits a call in process would and
-    starts without importing anything (a spawned interpreter would import numpy again).  It
-    pickles ``there()`` into a pipe and always ends with ``os._exit``: 0 once the whole message is
-    written, 1 otherwise, so no buffered output is flushed twice and no at-exit handler runs.  The
-    worker is reaped before this returns, and killed first if anything raises here,
-    ``KeyboardInterrupt`` included.  Its result is taken only from an exit status of 0; any other
-    end (``there`` raised, the write failed, a signal) has ``there`` run here after ``here``, and
-    ``there`` gives the same result or raises the same error wherever it runs.  Without
-    ``os.fork``, with fewer than two CPUs, or when ``os.fork`` fails, both run in this process,
-    ``here`` first, so that an exception of ``here`` wins either way.
-    """
-    if not hasattr(os, "fork") or _cpus() < 2:
-        return here(), there()
-    read_end, write_end = os.pipe()
-    try:
-        with warnings.catch_warnings():  # Python 3.12+ warns of forking beside BLAS threads
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return here(), there()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(there()))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    with open(read_end, "rb") as pipe:
-        try:
-            mine = here()
-            message = pipe.read()
-        except BaseException:
-            import signal  # off the start-up path: needed only to stop a worker
-
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
-    return mine, there() if status else pickle.loads(message)
-
-
 def cmd_verify(args) -> int:
     """Minimize the entropy sum and spot-check every inequality, then print both and the verdict.
 
-    The spot checks draw from their own random stream and do not depend on the minimizer, so
-    they run in a forked worker beside it where the process may use two CPUs (``_beside``); the
-    output is the same either way.  A bad ``--samples`` is rejected before either starts.
+    The spot checks run after the minimizer, in this process; they draw from their own random
+    stream, so their result does not depend on the minimizer's.  A bad ``--samples`` is rejected
+    before either starts.
     """
     chain = read_chain(args.input)
     config = MinimizationConfig(restarts=args.restarts, seed=args.seed)
@@ -188,8 +132,8 @@ def cmd_verify(args) -> int:
         minimize, target = minimize_entropy_sum, math.inf if args.orders == "min" else 1.0
     else:
         minimize, target = minimize_conditional_entropy_sum, 2 if args.dim_b is None else args.dim_b
-    result, spots = _beside(lambda: minimize(chain, target, config),
-                            lambda: spot_check_inequalities(chain, samples=args.samples, seed=args.seed))
+    result = minimize(chain, target, config)
+    spots = spot_check_inequalities(chain, samples=args.samples, seed=args.seed)
 
     print(f"objective_min = {result.objective_min:.12g}")
     print(f"converged restarts: {result.converged_restarts}/{result.restarts}")

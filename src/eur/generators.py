@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import BipartiteState, DensityMatrix, MeasurementBasis, MeasurementChain, PureState
+from .core import BipartiteState, DensityMatrix, MeasurementBasis, MeasurementChain
 
 
 def _is_prime(n: int) -> bool:
@@ -127,7 +129,10 @@ def maximally_entangled(dim: int) -> BipartiteState:
     """|Phi> = sum_i |ii> / sqrt(dim) as a bipartite dim x dim state."""
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    vec = np.zeros(dim * dim, dtype=complex)
-    for i in range(dim):
-        vec[i * dim + i] = 1.0 / np.sqrt(dim)
-    return BipartiteState(PureState(vec).projector(), dim, dim)
+    return _entangled(dim, dim)
+
+
+def _entangled(da: int, db: int) -> BipartiteState:
+    """The maximally entangled state sum_i |ii> / sqrt(d_A) on A and the first d_A of B's d_B >= d_A
+    levels.  Each measured outcome of A is then known from B: every H(M|B) is 0, the least it can be."""
+    return BipartiteState.from_pure(np.eye(da, db).ravel() / math.sqrt(da), da, db)

@@ -38,9 +38,8 @@ mixed samples and the minimizers' slacks read every bound's left-hand side and
 value from the gap kernels ``bounds._state_gaps`` and ``bounds._memory_gaps``.
 
 The spot checks are independent of the minimizers: they draw from their own
-random stream and read nothing the minimizers compute, so ``eur verify`` may
-run them in a forked worker beside the minimizer.  The functions here all run
-serially in the calling process.
+random stream and read nothing the minimizers compute.  ``eur verify`` runs
+them after the minimizer, in the same process.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .bounds import WEIGHTED_WEIGHTS, BoundName, _memory_gaps, _state_gaps
 from .core import (BipartiteState, DensityMatrix, MeasurementChain, PureState, _Record, _stacked_bras,
                    outcome_distribution)
 from .entropy import _entropy_rows, renyi_entropy
-from .generators import _gaussian_gram, _unit_trace
+from .generators import _entangled, _gaussian_gram, _unit_trace
 from .neldermead import _nelder_mead
 
 CERTIFICATION_TOL = 1e-6
@@ -163,12 +162,6 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
     the sum of two BLAS dot products, here row by row as (1, dim) @ (dim, 1) products."""
     re, im = z.real[..., None, :], z.imag[..., None, :]
     return z / np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
-
-
-def _entangled(da: int, db: int) -> BipartiteState:
-    """The maximally entangled state sum_i |ii> / sqrt(d_A) on A and the first d_A of B's d_B >= d_A
-    levels.  Each measured outcome of A is then known from B: every H(M|B) is 0, the least it can be."""
-    return BipartiteState.from_pure(np.eye(da, db).ravel() / math.sqrt(da), da, db)
 
 
 def _best_restart(objective, dim: int, config: MinimizationConfig, stream: int):

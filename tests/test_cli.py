@@ -1,12 +1,9 @@
-import errno
 import hashlib
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
-import time
 import warnings
 from itertools import combinations
 from pathlib import Path
@@ -771,7 +768,6 @@ def test_a_bound_raised_where_it_is_attained_fails(tmp_path, capsys, monkeypatch
         return out | {name: out[name] + delta} if name in out else out
 
     monkeypatch.setattr(eur.bounds, values.__name__, raised)
-    monkeypatch.setattr(cli, "_cpus", lambda: 1)
     path = tmp_path / "chain.json"
     write_measurement_set(path, TIGHT_CHAINS[chain]())
     memory = ["--dim-b", "2"] if mode == "memory" else []
@@ -779,23 +775,8 @@ def test_a_bound_raised_where_it_is_attained_fails(tmp_path, capsys, monkeypatch
     assert (rc, capsys.readouterr().out.splitlines()[-1]) == ((1, "VERIFICATION FAILED") if delta else (0, "CERTIFIED"))
 
 
-class TestSpotWorker:
-    """``verify`` runs its spot checks in a forked worker beside the minimizer where two CPUs are
-    available; on one CPU, and where ``os.fork`` fails, it runs them in process with the same output.
-    A worker that ends without its whole result, by an error or a signal, has them run again in
-    process.  The autouse guard of ``conftest.py`` checks that no call leaves a child behind."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """One entry per fork of this process, added before the fork."""
-        calls, fork = [], os.fork
-
-        def counting():
-            calls.append(None)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting)
-        return calls
+class TestSpotChecks:
+    """``verify`` runs its spot checks after the minimizer, in this process."""
 
     @staticmethod
     def _chain(tmp_path, mode):
@@ -804,100 +785,27 @@ class TestSpotWorker:
         write_measurement_set(path, eur.mub_set(dim, count))
         return ["verify", "--input", str(path), *argv]
 
-    def _worker_then_serial(self, argv, capsys, monkeypatch, forks):
-        """(exit code, stdout, stderr) of ``argv`` with the worker, then on the serial path."""
-        runs = []
-        for cpus in (2, 1):
-            monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
-            before = len(forks)
-            runs.append((main(argv), *capsys.readouterr()))
-            assert len(forks) - before == (cpus == 2)
-        return runs
-
     @pytest.mark.parametrize("mode", ["state", "memory", "state-min", "memory-dim-b-3"])
-    def test_worker_prints_the_serial_bytes(self, tmp_path, capsys, monkeypatch, forks, mode):
-        """The benchmark's two calls, an ``--orders min`` call and a d_B = 3 memory call."""
-        worker, serial = self._worker_then_serial(self._chain(tmp_path, mode), capsys, monkeypatch, forks)
-        assert worker == serial
-        assert worker[0] == 0 and worker[1].endswith("CERTIFIED\n")
+    def test_run_once_in_this_process(self, tmp_path, capsys, monkeypatch, mode):
+        """The benchmark's two calls, an ``--orders min`` call and a d_B = 3 memory call.  The
+        benchmark's tracer sees a call only where it runs in the traced process."""
+        calls, spot_checks = [], cli.spot_check_inequalities
 
-    def test_failing_verdict_is_the_serial_one(self, tmp_path, capsys, monkeypatch, forks):
-        monkeypatch.setattr(verifier, "CERTIFICATION_TOL", -10.0)
-        argv = self._chain(tmp_path, "state-weighted")
-        worker, serial = self._worker_then_serial(argv, capsys, monkeypatch, forks)
-        assert worker == serial
-        assert worker[0] == 1 and worker[1].endswith("VERIFICATION FAILED\n")
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return spot_checks(*args, **kwargs)
 
-    def test_worker_error_is_one_error_line(self, tmp_path, capsys, monkeypatch, forks):
-        """An error of the spot checks fails the worker and then the rerun here, which prints it."""
+        monkeypatch.setattr(cli, "spot_check_inequalities", counting)
+        assert main(self._chain(tmp_path, mode)) == 0
+        assert capsys.readouterr().out.endswith("CERTIFIED\n")
+        assert len(calls) == 1
+
+    def test_spot_check_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("spot checks failed")
 
         monkeypatch.setattr(cli, "spot_check_inequalities", broken)
-        argv = self._chain(tmp_path, "memory")
-        worker, serial = self._worker_then_serial(argv, capsys, monkeypatch, forks)
-        assert worker == serial == (2, "", "error: spot checks failed\n")
-
-    def test_error_in_the_worker_only_runs_the_spot_checks_in_process(self, tmp_path, capsys, monkeypatch, forks):
-        """An error that only the worker meets is not the spot checks' error: the rerun here decides."""
-        parent, spot_checks = os.getpid(), cli.spot_check_inequalities
-
-        def failing_in_the_worker(*args, **kwargs):
-            if os.getpid() != parent:
-                raise MemoryError("worker only")
-            return spot_checks(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "spot_check_inequalities", failing_in_the_worker)
-        worker, serial = self._worker_then_serial(self._chain(tmp_path, "state-weighted"), capsys, monkeypatch, forks)
-        assert worker == serial
-        assert serial[0] == 0 and serial[1].endswith("CERTIFIED\n")
-
-    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_minimizer_error_kills_and_reaps_the_worker(self, tmp_path, monkeypatch, forks, error):
-        """The worker would sleep for a minute; the parent's exception ends it at once."""
-        def broken(*args, **kwargs):
-            raise error("minimizer failed")
-
-        def sleeping(*args, **kwargs):
-            time.sleep(60.0)
-
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "minimize_entropy_sum", broken)
-        monkeypatch.setattr(cli, "spot_check_inequalities", sleeping)
-        start = time.monotonic()
-        with pytest.raises(error, match="minimizer failed"):
-            main(self._chain(tmp_path, "state-weighted"))
-        assert time.monotonic() - start < 30.0
-        assert len(forks) == 1
-
-    def test_killed_worker_runs_the_spot_checks_in_process(self, tmp_path, capsys, monkeypatch, forks):
-        """A worker that dies without writing its result (a signal, the OOM killer) costs a rerun of
-        the spot checks here, not the output or the exit code."""
-        parent, spot_checks = os.getpid(), cli.spot_check_inequalities
-
-        def killed_in_the_worker(*args, **kwargs):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return spot_checks(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "spot_check_inequalities", killed_in_the_worker)
-        worker, serial = self._worker_then_serial(self._chain(tmp_path, "state-weighted"), capsys, monkeypatch, forks)
-        assert worker == serial
-        assert serial[0] == 0 and serial[1].endswith("CERTIFIED\n")
-
-    def test_failed_fork_runs_the_spot_checks_in_process(self, tmp_path, capsys, monkeypatch):
-        def failing():
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-        argv = self._chain(tmp_path, "state-weighted")
-        monkeypatch.setattr(cli, "_cpus", lambda: 1)
-        serial = (main(argv), *capsys.readouterr())
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        monkeypatch.setattr(os, "fork", failing)
-        descriptors = sorted(os.listdir("/proc/self/fd"))
-        assert (main(argv), *capsys.readouterr()) == serial
-        assert sorted(os.listdir("/proc/self/fd")) == descriptors  # the pipe is closed
-        assert serial[0] == 0
+        assert (main(self._chain(tmp_path, "memory")), *capsys.readouterr()) == (2, "", "error: spot checks failed\n")
 
 
 class TestParser:

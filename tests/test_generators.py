@@ -189,3 +189,13 @@ class TestMaximallyEntangled:
         m = eur.maximally_entangled(2).matrix
         assert m[0, 3] == pytest.approx(0.5)
         assert m[1, 1] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_bits_of_the_per_index_amplitudes(self, dim):
+        """Phi from ``np.eye`` has the bits of the projector of amplitudes set one index at a time."""
+        vec = np.zeros(dim * dim, dtype=complex)
+        for i in range(dim):
+            vec[i * dim + i] = 1.0 / np.sqrt(dim)
+        expected = eur.PureState(vec).projector().matrix
+        got = eur.maximally_entangled(dim).matrix
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
