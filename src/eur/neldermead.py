@@ -2,6 +2,8 @@
 
 The verifier's multistart runs all its restarts through ``_nelder_mead`` as one
 batch; the search knows nothing of states or entropies, only a batched objective.
+Its arrays are small, so the loop calls ufunc reductions and array methods directly
+(``np.maximum.reduce``, ``m.nonzero()``), not numpy's Python-level wrappers of them.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def _nelder_mead(objective, x0: np.ndarray, max_iterations: int):
         return sim[0], fsim[:, 0], nfev, np.ones(r, dtype=bool)
     cols, j = np.arange(r), np.arange(1, n + 1)
     for _ in range(2):  # scipy sorts the initial simplex twice; an unstable sort may reorder ties
-        order = np.argsort(fsim, axis=-1)
+        order = fsim.argsort(axis=-1)
         sim, fsim = sim[order.T, cols], fsim[cols[:, None], order]
     x, fun, success = np.empty((r, n)), np.empty(r), np.zeros(r, dtype=bool)
     # The working set: the restarts still running (live, in increasing order), their sorted
@@ -54,14 +56,14 @@ def _nelder_mead(objective, x0: np.ndarray, max_iterations: int):
     while True:
         going = nf < max_iterations
         # f is sorted, so its spread max |f[0] - f[i]| is f[-1] - f[0]
-        close = np.flatnonzero(going & (f[:, -1] - f[:, 0] <= _FATOL))
+        close = (going & (f[:, -1] - f[:, 0] <= _FATOL)).nonzero()[0]
         if close.size:
-            converged = close[np.abs(s[1:, close] - s[:1, close]).max(axis=(0, 2)) <= _XATOL]
+            converged = close[np.maximum.reduce(np.abs(s[1:, close] - s[:1, close]), axis=(0, 2)) <= _XATOL]
             going[converged] = False
             success[live[converged]] = True
-        if not going.all():
+        if not np.logical_and.reduce(going):
             stop = live[~going]
-            x[stop], fun[stop], nfev[stop] = s[0, ~going], f[~going].min(axis=1), nf[~going]
+            x[stop], fun[stop], nfev[stop] = s[0, ~going], np.minimum.reduce(f[~going], axis=1), nf[~going]
             live, s, f, nf = live[going], s[:, going], f[going], nf[going]
             if not live.size:
                 return x, fun, nfev, success
@@ -80,7 +82,7 @@ def _nelder_mead(objective, x0: np.ndarray, max_iterations: int):
         trial = steps[:, :1] * xbar - steps[:, 1:] * worst
         tried = ~accept & (nf < max_iterations - 1)
         ftrial = np.full(len(f), np.nan)  # nan compares false: the untried rows take nothing
-        if tried.any():
+        if np.logical_or.reduce(tried):
             ftrial[tried] = objective(trial[tried])
         # the trial point replaces the worst vertex if below the reflection (expansion), not above
         # it (outside contraction), or below the worst vertex (inside contraction)
@@ -90,7 +92,7 @@ def _nelder_mead(objective, x0: np.ndarray, max_iterations: int):
         s[-1] = np.where(take[:, None], trial, np.where(replace[:, None], xr, worst))
         f[:, -1] = np.where(take, ftrial, np.where(replace, fxr, f[:, -1]))
         nf += 1 + tried
-        shrink = np.flatnonzero(tried & ~replace)
+        shrink = (tried & ~replace).nonzero()[0]
         if shrink.size:
             # vertex j moves if j <= budget + 1 and is evaluated if j <= budget
             ss, fs, budget = s[:, shrink], f[shrink], max_iterations - nf[shrink]
@@ -99,6 +101,6 @@ def _nelder_mead(objective, x0: np.ndarray, max_iterations: int):
             evaluated = j <= budget[:, None]
             fs[:, 1:][evaluated] = objective(ss[1:].swapaxes(0, 1)[evaluated])  # restart by restart
             s[:, shrink], f[shrink] = ss, fs
-            nf[shrink] += evaluated.sum(axis=1)
-        order = np.argsort(f, axis=-1)
+            nf[shrink] += np.add.reduce(evaluated, axis=1)
+        order = f.argsort(axis=-1)
         s, f = s[order.T, cols], f[cols[:, None], order]

@@ -35,7 +35,10 @@ smaller Gram matrix of the amplitude matrix.
 The spot checks (drawn and evaluated a block at a time, then three fixed states
 where the bounds are attained: I/d, Phi and I/d (x) I/d on d x d), memory mode's
 mixed samples and the minimizers' slacks read every bound's left-hand side and
-value from the gap kernels ``bounds._state_gaps`` and ``bounds._memory_gaps``.
+value from the gap kernels ``bounds._state_gaps`` and ``bounds._memory_gaps``.  A spot-check
+round reads its random stream in four generator calls, and the mixed states of a block, like
+the 50 mixed samples, take their G G^dagger from one stacked product per rank
+(``generators._gaussian_gram``), each with the bits of its own draw.
 
 The spot checks are independent of the minimizers: they draw from their own
 random stream and read nothing the minimizers compute.  ``eur verify`` runs
@@ -152,11 +155,6 @@ def _angles_from_state(psi: np.ndarray) -> np.ndarray:
     return np.concatenate([thetas, np.angle(rows[:, 1:])], axis=1).reshape(psi.shape[:-1] + (2 * dim - 2,))
 
 
-def _gaussian_ket(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A complex Gaussian vector: a Haar-random state before ``_unit_rows`` divides out its norm."""
-    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-
-
 def _unit_rows(z: np.ndarray) -> np.ndarray:
     """Each row of the complex (..., dim) array ``z`` over its norm, in ``np.linalg.norm``'s bits:
     the sum of two BLAS dot products, here row by row as (1, dim) @ (dim, 1) products."""
@@ -167,7 +165,7 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
 def _best_restart(objective, dim: int, config: MinimizationConfig, stream: int):
     """Angles and value of the first lowest of ``config.restarts`` batched Nelder-Mead restarts from
     Haar-random states of random stream ``stream``, and the number of restarts that converged."""
-    # one _gaussian_ket per restart: its real, then its imaginary part
+    # one complex Gaussian per restart, a Haar-random state before its norm: real, then imaginary part
     z = np.random.default_rng([config.seed, stream]).standard_normal((config.restarts, 2, dim))
     x = _angles_from_state(_unit_rows(z[:, 0] + 1j * z[:, 1]))
     fun, success = np.empty(len(x)), np.zeros(len(x), dtype=bool)
@@ -203,7 +201,7 @@ def _pure_objective(chain: MeasurementChain, ords: list[float], weights: list[fl
         psi = _state_from_angles(x, dim)
         amps = (np.concatenate([psi, psi]) @ bras.T)[:1] if len(psi) == 1 else psi @ bras.T
         probs = np.abs(amps) ** 2
-        return (_entropy_rows(probs.reshape(-1, n, dim), ords) * weights).sum(axis=-1)
+        return np.add.reduce(_entropy_rows(probs.reshape(-1, n, dim), ords) * weights, axis=-1)
 
     return objective
 
@@ -222,11 +220,11 @@ def _memory_objective(chain: MeasurementChain, dim_b: int):
 
     def objective(x):
         amps = _state_from_angles(x, total).reshape(-1, da, dim_b)
-        probs = (np.abs(bras @ amps) ** 2).sum(axis=-1).reshape(-1, n, da)
+        probs = np.add.reduce(np.abs(bras @ amps) ** 2, axis=-1).reshape(-1, n, da)
         adj = np.swapaxes(amps.conj(), -1, -2)
         gram = adj @ amps if dim_b <= da else amps @ adj
         s_b = _entropy_rows(np.linalg.eigvalsh(gram), (1.0,))
-        return _entropy_rows(probs, (1.0,)).sum(axis=-1) - n * s_b
+        return np.add.reduce(_entropy_rows(probs, (1.0,)), axis=-1) - n * s_b
 
     return objective
 
@@ -289,9 +287,11 @@ def minimize_conditional_entropy_sum(
         x, value, converged = _best_restart(_memory_objective(chain, dim_b), total, config, stream=2)
         rho_best, restarts = BipartiteState.from_pure(_state_from_angles(x, total), da, dim_b), config.restarts
     rng = np.random.default_rng([config.seed, 3])
-    mixed = [_gaussian_gram(total, int(rng.integers(1, total + 1)), rng) for _ in range(MIXED_SPOT_SAMPLES)]
+    # a rank, then the factor's normals: random_density_matrix's draws
+    draws = [rng.standard_normal(2 * total * int(rng.integers(1, total + 1))) for _ in range(MIXED_SPOT_SAMPLES)]
+    mixed = _unit_trace(_gaussian_gram(total, draws))
     # row 0 is the minimizer, the other rows the mixed samples
-    gaps = _memory_gaps(chain, np.concatenate([rho_best.matrix[None], _unit_trace(np.array(mixed))]), dim_b)
+    gaps = _memory_gaps(chain, np.concatenate([rho_best.matrix[None], mixed]), dim_b)
     lhs, bound = gaps[BoundName.MEMORY_MULTI]
     value = float(lhs[0]) if value is None else value
     slacks = {BoundName.MEMORY_MULTI: min(value - float(bound[0]), float((lhs - bound)[1:].min())),
@@ -304,21 +304,31 @@ def _spot_states(rng: np.random.Generator, d: int, count: int):
     stack, pure states at even indices and mixed ones at odd.
 
     Each round draws a Haar-random pure state and a random mixed state on d levels, then both
-    on d x d, with the random calls of a ``_gaussian_ket`` and of ``random_density_matrix`` in
-    that order.  A round makes only those calls and the G G^dagger product; the normalizations and
-    the projectors then run once per block, with the bits of the per-state draws.
+    on d x d, from the normals of a complex Gaussian ket (real, then imaginary part) and of
+    ``random_density_matrix``, in that order.  As ``standard_normal(n)`` gives the values of
+    consecutive smaller calls, a round makes four random calls: the rank, the normals of the
+    factor and of the joint ket, the joint rank, and the normals of the joint factor and of the
+    next round's ket (the first ket is drawn before the loop, the last round draws no next one).
+    The G G^dagger products (one stacked product per rank), the normalizations and the projectors
+    then run once per block, with the bits of the per-state draws.
     """
-    kets, rhos = np.empty((count, d), complex), np.empty((2 * count, d, d), complex)
-    kets_ab, joints = np.empty((count, d * d), complex), np.empty((2 * count, d * d, d * d), complex)
+    dd = d * d
+    rounds = []
+    ket = rng.standard_normal(2 * d)
     for i in range(count):
-        kets[i] = _gaussian_ket(rng, d)
-        rhos[2 * i + 1] = _gaussian_gram(d, int(rng.integers(1, d + 1)), rng)
-        kets_ab[i] = _gaussian_ket(rng, d * d)
-        joints[2 * i + 1] = _gaussian_gram(d * d, int(rng.integers(1, d * d + 1)), rng)
-    for states, pure in ((rhos, kets), (joints, kets_ab)):
-        pure = _unit_rows(pure)
+        cut = 2 * d * int(rng.integers(1, d + 1))
+        z = rng.standard_normal(cut + 2 * dd)
+        cut_ab = 2 * dd * int(rng.integers(1, dd + 1))
+        z_ab = rng.standard_normal(cut_ab + 2 * d * (i + 1 < count))
+        rounds.append((ket, z[:cut], z[cut:], z_ab[:cut_ab]))
+        ket = z_ab[cut_ab:]
+    kets, draws, kets_ab, draws_ab = zip(*rounds)
+    rhos, joints = np.empty((2 * count, d, d), complex), np.empty((2 * count, dd, dd), complex)
+    for states, dim, normals, factors in ((rhos, d, kets, draws), (joints, dd, kets_ab, draws_ab)):
+        z = np.array(normals)
+        pure = _unit_rows(z[:, :dim] + 1j * z[:, dim:])
         states[0::2] = pure[:, :, None] * pure.conj()[:, None, :]  # np.outer of each row
-        states[1::2] = _unit_trace(states[1::2])
+        states[1::2] = _unit_trace(_gaussian_gram(dim, factors))
     return rhos, joints
 
 

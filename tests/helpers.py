@@ -251,10 +251,16 @@ def random_bipartite_pure(dim_a, dim_b, seed):
     return eur.BipartiteState.from_pure(z / np.linalg.norm(z), dim_a, dim_b)
 
 
+def loop_gaussian_gram(rng, dim, rank):
+    """G G^dagger for one dim x rank complex Gaussian G: two (dim, rank) normal draws from the
+    Generator ``rng``, its real then its imaginary part, and one 2-D product."""
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    return g @ g.conj().T
+
+
 def random_mixed(rng, dim, rank):
     """G G^dagger / tr from the Generator ``rng``, G a dim x rank complex Gaussian, unvalidated."""
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
+    m = loop_gaussian_gram(rng, dim, rank)
     return eur.DensityMatrix(m / np.trace(m).real, validate=False)
 
 

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import eur
-from eur.generators import _paper_d3_vectors
-from helpers import random_mixed
+from eur.generators import _gaussian_gram, _paper_d3_vectors
+from helpers import loop_gaussian_gram, random_mixed
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -176,6 +176,30 @@ class TestRandomDensityMatrix:
                 got = eur.random_density_matrix(dim, rank, ours)
                 assert np.array_equal(got.matrix, random_mixed(oracle, dim, rank).matrix)
         assert ours.random() == oracle.random()
+
+
+GRAM_DIMS = [*range(1, 10), 16, 25]
+
+
+class TestGaussianGram:
+    @pytest.mark.parametrize("dim", GRAM_DIMS)
+    def test_stacked_products_are_the_per_draw_products(self, dim):
+        """A shuffled batch of every rank, each rank more than once, gives bit for bit the
+        per-draw products, whatever its grouping by rank."""
+        ranks = np.random.default_rng(dim).permutation(np.repeat(np.arange(1, dim + 1), 3))
+        ours, oracle = np.random.default_rng([dim, 8]), np.random.default_rng([dim, 8])
+        draws = [ours.standard_normal(2 * dim * int(r)) for r in ranks]
+        want = [loop_gaussian_gram(oracle, dim, int(r)) for r in ranks]
+        got = _gaussian_gram(dim, draws)
+        assert got.shape == (len(ranks), dim, dim)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", GRAM_DIMS)
+    def test_random_density_matrix_has_the_per_draw_bits(self, dim):
+        for rank in sorted({1, (dim + 1) // 2, dim}):
+            m = loop_gaussian_gram(np.random.default_rng(100 + rank), dim, rank)
+            got = eur.random_density_matrix(dim, rank, seed=100 + rank).matrix
+            np.testing.assert_array_equal(got, m / np.trace(m).real)
 
 
 class TestMaximallyEntangled:

@@ -611,6 +611,32 @@ class TestSpotCheck:
         np.testing.assert_array_equal(joints, want_joints)
         assert ours.random() == oracle.random()
 
+    @pytest.mark.parametrize("count", [1, 5, 64])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_four_random_calls_per_round(self, d, count):
+        """A block makes four generator calls per round and one for the first ket, gives the
+        states of an unwrapped generator, and leaves the stream where that one leaves it."""
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def counted(*args, **kwargs):
+                    self.calls += 1
+                    return method(*args, **kwargs)
+
+                return counted
+
+        proxy, plain = Counting(np.random.default_rng([d, 9])), np.random.default_rng([d, 9])
+        got, want = _spot_states(proxy, d, count), _spot_states(plain, d, count)
+        assert proxy.calls == 4 * count + 1
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert proxy.rng.random() == plain.random()
+
     def test_eigendecompositions_do_not_grow_with_samples(self, monkeypatch):
         """Inside one block the spectra are taken once per stack, whatever the sample count.
         The draws take no spectrum, so every call in the spot checks is counted."""
