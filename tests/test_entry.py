@@ -41,6 +41,9 @@ CASES = {
     "usage-scan": [*CLI, "scan", "--family", "paper-d3", "--param", "b"],
     "usage-verify": [*CLI, "verify", "--input", "pair.json", "--mode", "state", "--restarts", "many"],
     "usage-generate": [*CLI, "generate", "--out", "x.json"],
+    "usage-unrecognized-option": [*CLI, "bounds", "--input", "triple.json", "--bogus"],
+    "usage-double-dash": [*CLI, "--", "bounds", "--input", "triple.json"],
+    "usage-leading-option": [*CLI, "--bogus", "bounds", "--input", "triple.json"],
     "bounds": [*CLI, "bounds", "--input", "triple.json"],
     "generate": [*CLI, "generate", "--kind", "mub", "--dim", "3", "--out", "mub3.json"],
     "scan": [*CLI, "scan", "--family", "paper-d3", "--param", "a", "--range", "0:1", "--steps", "5",
