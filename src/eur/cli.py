@@ -43,6 +43,39 @@ _VARIANT_FLAGS = {
 }
 # integer flag -> its smallest value, for the flags no library function checks before work starts
 _FLOORS = {"count": 1, "seed": 0, "dim_b": 1, "steps": 1}
+# subcommand -> (its help line, its arguments as (flag, add_argument keywords)); cmd_<subcommand> runs it
+_COMMANDS = {
+    "bounds": ("print every applicable bound for a measurement set", [
+        ("--input", dict(required=True, help="measurement-set JSON file")),
+        ("--state", dict(default=None, help="optional density-matrix JSON file")),
+        ("--orders", dict(choices=["shannon", "min"], default="shannon")),
+        ("--best-order", dict(action="store_true", help="search basis orderings"))]),
+    "scan": ("sweep the built-in parametric family, write CSV", [
+        ("--family", dict(choices=["paper-d3"], required=True)),
+        ("--param", dict(choices=["a", "phi"], required=True)),
+        ("--range", dict(required=True, help="START:STOP")),
+        ("--steps", dict(type=int, required=True)),
+        ("--a", dict(type=float, default=None, help="fixed a when scanning phi")),
+        ("--phi", dict(type=float, default=None, help="fixed phi when scanning a")),
+        ("--bounds", dict(default="mu-multi,scb-max,deutsch-multi")),
+        ("--out", dict(required=True))]),
+    "verify": ("certify the bounds by entropy-sum minimization", [
+        ("--input", dict(required=True, help="measurement-set JSON file")),
+        ("--mode", dict(choices=["state", "memory"], required=True)),
+        ("--dim-b", dict(type=int, default=None, help="memory dimension (memory mode; default 2)")),
+        ("--orders", dict(choices=["shannon", "min"], default=None)),  # state mode; None is shannon
+        ("--restarts", dict(type=int, default=64)),
+        ("--samples", dict(type=int, default=200, help="spot-check rounds")),
+        ("--seed", dict(type=int, default=0))]),
+    "generate": ("write a measurement-set JSON file", [
+        ("--kind", dict(choices=["mub", "paper-d3", "random"], required=True)),
+        ("--dim", dict(type=int, default=None)),
+        ("--count", dict(type=int, default=None)),
+        ("--a", dict(type=float, default=None)),
+        ("--phi", dict(type=float, default=None)),
+        ("--seed", dict(type=int, default=None)),  # random only; None is 0
+        ("--out", dict(required=True))]),
+}
 
 
 def cmd_bounds(args) -> int:
@@ -162,51 +195,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``eur`` parser with only ``command``'s subparser when that names one (its usage lines still
+    list all four), else with all four, for the top-level help and errors.  The handlers are looked
+    up in the module when the parser is built, so a wrapper set on the module runs."""
     parser = argparse.ArgumentParser(
         prog="eur",
         description="Entropic uncertainty bounds for chains of projective measurements.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bounds = sub.add_parser("bounds", help="print every applicable bound for a measurement set")
-    p_bounds.add_argument("--input", required=True, help="measurement-set JSON file")
-    p_bounds.add_argument("--state", default=None, help="optional density-matrix JSON file")
-    p_bounds.add_argument("--orders", choices=["shannon", "min"], default="shannon")
-    p_bounds.add_argument("--best-order", action="store_true", help="search basis orderings")
-    p_bounds.set_defaults(func=cmd_bounds)
-
-    p_scan = sub.add_parser("scan", help="sweep the built-in parametric family, write CSV")
-    p_scan.add_argument("--family", choices=["paper-d3"], required=True)
-    p_scan.add_argument("--param", choices=["a", "phi"], required=True)
-    p_scan.add_argument("--range", required=True, help="START:STOP")
-    p_scan.add_argument("--steps", type=int, required=True)
-    p_scan.add_argument("--a", type=float, default=None, help="fixed a when scanning phi")
-    p_scan.add_argument("--phi", type=float, default=None, help="fixed phi when scanning a")
-    p_scan.add_argument("--bounds", default="mu-multi,scb-max,deutsch-multi")
-    p_scan.add_argument("--out", required=True)
-    p_scan.set_defaults(func=cmd_scan)
-
-    p_verify = sub.add_parser("verify", help="certify the bounds by entropy-sum minimization")
-    p_verify.add_argument("--input", required=True, help="measurement-set JSON file")
-    p_verify.add_argument("--mode", choices=["state", "memory"], required=True)
-    p_verify.add_argument("--dim-b", type=int, default=None, help="memory dimension (memory mode; default 2)")
-    p_verify.add_argument("--orders", choices=["shannon", "min"], default=None)  # state mode; None is shannon
-    p_verify.add_argument("--restarts", type=int, default=64)
-    p_verify.add_argument("--samples", type=int, default=200, help="spot-check rounds")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_gen = sub.add_parser("generate", help="write a measurement-set JSON file")
-    p_gen.add_argument("--kind", choices=["mub", "paper-d3", "random"], required=True)
-    p_gen.add_argument("--dim", type=int, default=None)
-    p_gen.add_argument("--count", type=int, default=None)
-    p_gen.add_argument("--a", type=float, default=None)
-    p_gen.add_argument("--phi", type=float, default=None)
-    p_gen.add_argument("--seed", type=int, default=None)  # random only; None is 0
-    p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(func=cmd_generate)
-
+    named = command in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if named else None)
+    for name, (help_line, arguments) in _COMMANDS.items():
+        if name == command or not named:
+            p_command = sub.add_parser(name, help=help_line)
+            for flag, keywords in arguments:
+                p_command.add_argument(flag, **keywords)
+            p_command.set_defaults(func=globals()["cmd_" + name])
     return parser
 
 
@@ -219,7 +224,7 @@ def main(argv=None) -> int:
     for k in range(len(argv) - 1, 0, -1):  # argparse takes the -1:1 of "--range -1:1" for an option
         if argv[0] == "scan" and argv[k - 1] == "--range" and argv[k].startswith("-") and ":" in argv[k]:
             argv[k - 1 : k + 1] = ["--range=" + argv[k]]
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     selector, flags, required = _VARIANT_FLAGS.get(args.command, ("", {}, ()))
     variant = getattr(args, selector, None)
     given = {flag: value for flag, value in vars(args).items() if value is not None}

@@ -62,17 +62,17 @@ def _entropy_rows_of_order(p: np.ndarray, alpha: float) -> np.ndarray:
     # an entropy is >= 0: each max(., 0) lifts a certain outcome's rounding negatives and -0.0 to +0.0
     if alpha == 1.0:
         q = np.where(p > LOG_CUTOFF, p, 1.0)  # 1 * log2(1) = 0 for the cut entries
-        return np.maximum(-(q * np.log2(q)).sum(axis=-1), 0.0)
+        return np.maximum(-np.add.reduce(q * np.log2(q), axis=-1), 0.0)
     if math.isinf(alpha):
-        return np.maximum(-np.log2(p.max(axis=-1)), 0.0)
+        return np.maximum(-np.log2(np.maximum.reduce(p, axis=-1)), 0.0)
     # log sum p^alpha; a power sum below the smallest normal float has underflowed or lost digits,
     # so there it is alpha log m + log sum (p/m)^alpha, m = max p
-    power_sum = np.power(p, alpha).sum(axis=-1)
+    power_sum = np.add.reduce(np.power(p, alpha), axis=-1)
     tiny = power_sum < np.finfo(float).tiny
     log_sum = np.log(np.where(tiny, 1.0, power_sum))
     if tiny.any():
-        m = p.max(axis=-1, keepdims=True)
-        scaled = alpha * np.log(m[..., 0]) + np.log(np.power(p / m, alpha).sum(axis=-1))
+        m = np.maximum.reduce(p, axis=-1, keepdims=True)
+        scaled = alpha * np.log(m[..., 0]) + np.log(np.add.reduce(np.power(p / m, alpha), axis=-1))
         log_sum = np.where(tiny, scaled, log_sum)
     return np.maximum(log_sum / ((1.0 - alpha) * math.log(2.0)), 0.0)
 

@@ -32,8 +32,8 @@ memory-mode objective builds no state objects: for a pure joint state
 H(M|B) = H(M) - S(rho_B), with S(rho_B) from the ``eigvalsh`` spectrum of the
 smaller Gram matrix of the amplitude matrix.
 
-The spot checks (drawn and evaluated a block at a time, then three fixed states
-where the bounds are attained: I/d, Phi and I/d (x) I/d on d x d), memory mode's
+The spot checks (drawn and evaluated a block at a time, the last block carrying three
+fixed states where the bounds are attained: I/d, Phi and I/d (x) I/d on d x d), memory mode's
 mixed samples and the minimizers' slacks read every bound's left-hand side and
 value from the gap kernels ``bounds._state_gaps`` and ``bounds._memory_gaps``.  A spot-check
 round reads its random stream in four generator calls, and the mixed states of a block, like
@@ -47,7 +47,6 @@ them after the minimizer, in the same process.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -345,17 +344,19 @@ def spot_check_inequalities(chain: MeasurementChain, samples: int = 200, seed: i
     Each round draws a Haar-random pure state, a random mixed state, and pure
     and mixed bipartite states with a memory of the chain's own dimension.
     Rounds are drawn and then evaluated together, ``SPOT_BLOCK`` at a time.
-    After them come the states where the bounds are attained, which random
-    draws never reach: I/d, and on d x d the maximally entangled state and
-    I/d (x) I/d.
+    The last block also carries the states where the bounds are attained,
+    which random draws never reach: I/d, and on d x d the maximally entangled
+    state (at an even, pure index) and I/d (x) I/d.
     """
     _check_samples(samples)
     rng = np.random.default_rng([seed, 4])
     d = chain.dim
     fixed = (np.eye(d)[None] / d, np.stack([_entangled(d, d).matrix, np.eye(d * d) / (d * d)]))
-    blocks = (_spot_states(rng, d, min(SPOT_BLOCK, samples - start)) for start in range(0, samples, SPOT_BLOCK))
     worst: dict = {}
-    for rhos, joints in itertools.chain(blocks, [fixed]):
+    for start in range(0, samples, SPOT_BLOCK):
+        rhos, joints = _spot_states(rng, d, min(SPOT_BLOCK, samples - start))
+        if start + SPOT_BLOCK >= samples:
+            rhos, joints = np.concatenate([rhos, fixed[0]]), np.concatenate([joints, fixed[1]])
         for name, (lhs, bound) in {**_state_gaps(chain, rhos), **_memory_gaps(chain, joints, d)}.items():
             gap = (lhs - bound)[0::2] if name is BoundName.MEMORY_PURE else lhs - bound  # pure joints only
             worst[name] = min(worst.get(name, math.inf), float(gap.min()))

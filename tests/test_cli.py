@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -808,7 +810,61 @@ class TestSpotChecks:
         assert (main(self._chain(tmp_path, "memory")), *capsys.readouterr()) == (2, "", "error: spot checks failed\n")
 
 
+def _corpus_calls():
+    """The argv of every call of ``tools/output_corpus.py``'s corpus."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "output_corpus.py"
+    spec = importlib.util.spec_from_file_location("output_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.corpus_calls()
+
+
+def _parsed(parser, argv, capsys):
+    """``vars`` of the parsed ``argv``, or the exit code and output of an argparse exit."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
 class TestParser:
+    @pytest.fixture
+    def added(self, monkeypatch):
+        """(parser prog, flag) of every ``add_argument`` call, in call order."""
+        calls, add_argument = [], argparse.ArgumentParser.add_argument
+
+        def recording(parser, *args, **kwargs):
+            calls.append((parser.prog, args[0]))
+            return add_argument(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+        return calls
+
+    def test_main_adds_only_the_called_subcommands_arguments(self, tmp_path, added):
+        """The whole parser takes 31 arguments; a call builds the top level's help flag and its own
+        subcommand's arguments only, in the whole parser's order."""
+        cli.build_parser()
+        full, chain, out = list(added), str(tmp_path / "pair.json"), str(tmp_path / "out")
+        assert len(full) == 31
+        calls = {
+            "generate": ["--kind", "mub", "--dim", "2", "--count", "2", "--out", chain],
+            "bounds": ["--input", chain],
+            "scan": ["--family", "paper-d3", "--param", "a", "--range", "0:1", "--steps", "3", "--phi", "0",
+                     "--out", out],
+            "verify": ["--input", chain, "--mode", "state", "--restarts", "1", "--samples", "1"],
+        }
+        for command, argv in calls.items():
+            added.clear()
+            assert main([command, *argv]) == 0
+            assert added == [call for call in full if call[0] in ("eur", f"eur {command}")]
+            assert len(added) < len(full)
+
+    def test_named_parser_parses_as_the_whole_one(self, capsys):
+        """Every corpus call parses to the same namespace, its handler the same function, with
+        only its subcommand's parser as with all four; an argparse exit would exit alike."""
+        for argv in _corpus_calls():
+            assert _parsed(cli.build_parser(argv[0]), argv, capsys) == _parsed(cli.build_parser(), argv, capsys), argv
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

@@ -637,6 +637,26 @@ class TestSpotCheck:
             np.testing.assert_array_equal(a, b)
         assert proxy.rng.random() == plain.random()
 
+    @pytest.mark.parametrize("samples", [1, SPOT_BLOCK, SPOT_BLOCK + 1, 200])
+    def test_one_gap_pass_per_block(self, monkeypatch, samples):
+        """Each gap kernel runs once per block of rounds: the fixed states ride in the last block."""
+        calls = {"_state_gaps": 0, "_memory_gaps": 0}
+
+        def counting(name):
+            kernel = getattr(verifier, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return kernel(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(verifier, name, counting(name))
+        eur.spot_check_inequalities(mub_chain(2, 3), samples=samples, seed=0)
+        blocks = -(-samples // SPOT_BLOCK)
+        assert calls == {"_state_gaps": blocks, "_memory_gaps": blocks}
+
     def test_eigendecompositions_do_not_grow_with_samples(self, monkeypatch):
         """Inside one block the spectra are taken once per stack, whatever the sample count.
         The draws take no spectrum, so every call in the spot checks is counted."""
