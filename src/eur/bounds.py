@@ -21,14 +21,17 @@ cut into blocks of its subtrees.  Ties go to the lexicographically first
 order.  ``eur scan`` runs the same steps on a stack of banks.
 
 A bound with a state term adds S(rho) or S(A|B), times a count, to a constant
-of the bank.  Each such bound is written once, in the value function of its
-mode, for a stack of states:
+of the bank.  The constants are the chain's state-independent terms: the
+input-order -log2 b, DEUTSCH_MULTI, the pair terms -log2 c(M_i, M_j)
+(``_pair_bounds``) and WEIGHTED's constant.  ``_chain_terms`` builds them once
+per chain, from its bank, into the read-only record ``chain.terms``, which the
+public scalars, the value functions and the gap kernels read.  Each such bound
+is written once, in the value function of its mode, for a stack of states:
 
 * ``_state_bounds``: MU_MULTI, -log2 b + (N - 1) S(rho); STATE_DEPENDENT, in
-  closed form with no sigma built; SCB_MAX, the best of the pair terms
-  -log2 c(M_i, M_j) (``_pair_bounds``) and the input-order cycle
-  (``_scb_max``, which the scan also runs); MU_TWO of the first two bases; and
-  WEIGHTED for N = 3.
+  closed form with no sigma built; SCB_MAX, the best of the pair terms and the
+  input-order cycle (``_scb_max``, which the scan also runs); MU_TWO of the
+  first two bases; and WEIGHTED for N = 3.
 * ``_memory_bounds``: MEMORY_MULTI, MEMORY_PURE and BERTA_TWO.
 
 ``build_reports`` reads every value after DEUTSCH_MULTI from one
@@ -36,13 +39,13 @@ mode, for a stack of states:
 ``best_order``.  The chain-taking public functions validate their input and
 read one state's value from the same functions.  The gap kernels
 ``_state_gaps`` and ``_memory_gaps`` pair the values with each bound's
-left-hand side, from one product for the outcome distributions and one stacked
-``eigvalsh`` per kind of state.  The two- and three-basis functions
-(``mu_two_bound``, ``weighted_bound``, ``berta_two_bound``) take bases, not a
-chain, so they build their own tables through ``max_overlap`` and
-``overlap_table``: a chain made of their bases would change their
-mismatched-basis message, and the benchmark's tracer wraps the name
-``overlap_table`` in this module.
+left-hand side, from one product with the chain's stacked bras (``chain.bras``)
+for the outcome distributions and one stacked ``eigvalsh`` per kind of state.
+The two- and three-basis functions (``mu_two_bound``, ``weighted_bound``,
+``berta_two_bound``) take bases, not a chain, so they build their own tables
+through ``max_overlap`` and ``overlap_table``: a chain made of their bases would
+change their mismatched-basis message, and the benchmark's tracer wraps the
+name ``overlap_table`` in this module.
 """
 
 from __future__ import annotations
@@ -59,9 +62,10 @@ from .core import (
     DensityMatrix,
     MeasurementBasis,
     MeasurementChain,
+    _Frozen,
     _Record,
     _born_probabilities,
-    _stacked_bras,
+    _freeze,
     max_overlap,
     outcome_distribution,
     overlap_table,
@@ -233,14 +237,24 @@ def _mu_multi_best(bank: np.ndarray):
     return np.max([_neg_log2(_fold(steps, order)) for order in permutations(range(bank.shape[-3]))], axis=0)
 
 
+def _chain_terms(bank: np.ndarray) -> _Frozen:
+    """The state-independent bound terms of the chain of the (N, N, d, d) bank ``bank``, as one
+    read-only record (``MeasurementChain.terms``): ``mu``, -log2 b in the input order; ``deutsch``,
+    DEUTSCH_MULTI; ``pairs``, the read-only (N, N) terms -log2 c(M_i, M_j); and ``weighted``,
+    WEIGHTED's constant for N = 3, None otherwise."""
+    n = bank.shape[0]
+    return _Frozen(mu=float(_neg_log2(_fold(_mu_steps(bank), range(n)))), deutsch=float(_deutsch_multi(bank)),
+                   pairs=_freeze(_pair_bounds(bank)), weighted=_weighted(bank[0, 2], bank[2, 1]) if n == 3 else None)
+
+
 def deutsch_multi_bound(chain: MeasurementChain) -> float:
     """Lower bound on the min-entropy sum of the chain, in bits."""
-    return float(_deutsch_multi(chain.overlaps))
+    return chain.terms.deutsch
 
 
 def mu_multi_bound(chain: MeasurementChain) -> float:
     """Lower bound on the Shannon entropy sum of the chain for pure states."""
-    return float(_neg_log2(_fold(_mu_steps(chain.overlaps), range(len(chain)))))
+    return chain.terms.mu
 
 
 def mu_multi_bound_with_state(chain: MeasurementChain, rho: DensityMatrix) -> float:
@@ -345,7 +359,7 @@ def memory_pure_bound(chain: MeasurementChain, rho: BipartiteState) -> float:
 def _chain_probabilities(chain: MeasurementChain, rhos: np.ndarray) -> np.ndarray:
     """Born probabilities of each density matrix of a (k, d, d) stack, or of one (d, d) matrix, in
     every basis of the chain, as a (k, N, d) array (k = 1 for one matrix).  No validation."""
-    return _born_probabilities(_stacked_bras(chain), rhos).reshape(-1, len(chain), chain.dim)
+    return _born_probabilities(chain.bras, rhos).reshape(-1, len(chain), chain.dim)
 
 
 def _state_bounds(chain: MeasurementChain, s: np.ndarray, probs: np.ndarray | None = None, mu=None) -> dict:
@@ -355,18 +369,17 @@ def _state_bounds(chain: MeasurementChain, s: np.ndarray, probs: np.ndarray | No
     WEIGHTED for N = 3.  STATE_DEPENDENT is (N - 1) S(rho) - sum_j q_j log2 beta_j (see
     :func:`state_dependent_bound`), q the last basis' probabilities and beta the normalized chain
     weights; q_j <= ``LOG_CUTOFF`` adds 0.  No validation."""
-    n, bank = len(chain), chain.overlaps
-    values = {BoundName.MU_MULTI: (mu_multi_bound(chain) if mu is None else mu) + (n - 1) * s}
+    n, terms = len(chain), chain.terms
+    values = {BoundName.MU_MULTI: (terms.mu if mu is None else mu) + (n - 1) * s}
     if probs is not None:
         q = probs[:, -1]
         beta = _push_weights(chain, probs[:, 0])
         beta = np.where(q > LOG_CUTOFF, beta / beta.sum(axis=-1, keepdims=True), 1.0)
         values[BoundName.STATE_DEPENDENT] = (n - 1) * s - (q * np.log2(beta)).sum(axis=-1)
-    p = _pair_bounds(bank)
-    values[BoundName.SCB_MAX] = _scb_max(p, s)
-    values[BoundName.MU_TWO] = p[0, 1] + s
+    values[BoundName.SCB_MAX] = _scb_max(terms.pairs, s)
+    values[BoundName.MU_TWO] = terms.pairs[0, 1] + s
     if n == 3:
-        values[BoundName.WEIGHTED] = _weighted(bank[0, 2], bank[2, 1]) + 2.0 * s
+        values[BoundName.WEIGHTED] = terms.weighted + 2.0 * s
     return values
 
 
@@ -382,11 +395,11 @@ def _memory_bounds(chain: MeasurementChain, s_ab: np.ndarray) -> dict:
     """{bound: value} of every memory bound for the (k,) stack ``s_ab`` of S(A|B), as (k,) arrays but
     BERTA_TWO's, which is (k, N - 1), a column per consecutive pair.  MEMORY_PURE holds only on pure
     joint states.  No validation."""
-    n, mu = len(chain), mu_multi_bound(chain)
+    n, terms = len(chain), chain.terms
     return {
-        BoundName.MEMORY_MULTI: mu + (n - 1) * s_ab,
-        BoundName.MEMORY_PURE: mu + s_ab,
-        BoundName.BERTA_TWO: s_ab[:, None] + np.diagonal(_pair_bounds(chain.overlaps), 1),
+        BoundName.MEMORY_MULTI: terms.mu + (n - 1) * s_ab,
+        BoundName.MEMORY_PURE: terms.mu + s_ab,
+        BoundName.BERTA_TWO: s_ab[:, None] + np.diagonal(terms.pairs, 1),
     }
 
 
@@ -400,7 +413,7 @@ def _state_gaps(chain: MeasurementChain, rhos: np.ndarray) -> dict:
            BoundName.MU_TWO: hs[:, 0] + hs[:, 1]}
     if len(chain) == 3:
         lhs[BoundName.WEIGHTED] = sum(w * hm for w, hm in zip(WEIGHTED_WEIGHTS, hs.T))
-    gaps = {BoundName.DEUTSCH_MULTI: (h_min, np.full_like(s, deutsch_multi_bound(chain)))}
+    gaps = {BoundName.DEUTSCH_MULTI: (h_min, np.full_like(s, chain.terms.deutsch))}
     return gaps | {name: (lhs[name], value) for name, value in _state_bounds(chain, s, probs).items()}
 
 
@@ -408,7 +421,7 @@ def _memory_gaps(chain: MeasurementChain, joints: np.ndarray, dim_b: int) -> dic
     """{bound: (left-hand side, bound value)} of every memory bound on each joint matrix of the
     (k, d d_B, d d_B) stack ``joints``, A measured by the chain.  BERTA_TWO's arrays are (k, N - 1),
     a column per consecutive pair; the values are :func:`_memory_bounds`'.  No validation."""
-    s_ab, hc = _memory_entropies(joints, chain.dim, dim_b, _stacked_bras(chain))
+    s_ab, hc = _memory_entropies(joints, chain.dim, dim_b, chain.bras)
     hc_sum = sum(hc.T)
     lhs = {BoundName.MEMORY_MULTI: hc_sum, BoundName.MEMORY_PURE: hc_sum,
            BoundName.BERTA_TWO: hc[:, :-1] + hc[:, 1:]}

@@ -175,9 +175,26 @@ class MeasurementChain(_Frozen):
         """Read-only (N, N, d, d) bank: ``overlaps[m, k]`` is ``overlap_table(self[m], self[k])``.
 
         Computed once per chain by :func:`_overlap_bank`, one product per entry, so every
-        table matches that function bit for bit (a mirror's transpose may not).
+        table matches that function bit for bit (a mirror's transpose may not).  The chain's
+        state-independent bound terms (:attr:`terms`) are read from it.
         """
         return _freeze(_overlap_bank(np.array([b.vectors for b in self.bases])))
+
+    @cached_property
+    def terms(self) -> _Frozen:
+        """The state-independent terms of the chain's bounds, computed once per chain from
+        :attr:`overlaps` by ``bounds._chain_terms``: the input-order MU constant ``mu`` (-log2 b),
+        ``deutsch`` (DEUTSCH_MULTI), the read-only (N, N) pair terms ``pairs`` (-log2 c(M_i, M_j))
+        and ``weighted``, WEIGHTED's constant for N = 3 and None otherwise.  Read-only, like the bank.
+        """
+        from .bounds import _chain_terms  # bounds imports this module
+
+        return _chain_terms(self.overlaps)
+
+    @cached_property
+    def bras(self) -> np.ndarray:
+        """Read-only (N d, d) matrix whose rows are the bras <u_i| of every basis, basis by basis."""
+        return _freeze(np.concatenate([b.vectors.conj() for b in self.bases]))
 
     def reordered(self, order) -> "MeasurementChain":
         """Chain with bases permuted by the given index order."""
@@ -258,11 +275,6 @@ def _overlap_bank(v: np.ndarray, fixed: np.ndarray | None = None) -> np.ndarray:
 def max_overlap(a: MeasurementBasis, b: MeasurementBasis) -> float:
     """Largest squared overlap c(a, b) = max_{i,j} |<a_i|b_j>|^2."""
     return float(overlap_table(a, b).max())
-
-
-def _stacked_bras(chain: MeasurementChain) -> np.ndarray:
-    """The (N d, d) matrix whose rows are the bras <u_i| of every basis, basis by basis."""
-    return np.concatenate([b.vectors.conj() for b in chain])
 
 
 def _born_probabilities(bras: np.ndarray, mats: np.ndarray) -> np.ndarray:

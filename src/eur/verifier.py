@@ -7,6 +7,10 @@ minimum found and each applicable bound is reported as a slack.  Slacks more
 negative than the certification tolerance mean a bound is violated: a result
 is certified when at least one restart converged and no slack is below
 ``-CERTIFICATION_TOL`` (``eur verify`` holds the spot checks to the same rule).
+The tolerance, 1e-12, absorbs only the rounding of the entropy and bound
+arithmetic: it is about 100 times the largest |slack| measured where a bound is
+attained (1.07e-14, on the d = 7 MUB set with a d_B = 7 memory), so a bound
+raised by 1e-9 where it is tight fails.
 Each restart may spend max(2000, 200 n) objective evaluations on n angles,
 the larger of a fixed 2000 and scipy's Nelder-Mead default, per run; a restart
 that has not converged is run again from where it stopped, up to
@@ -52,13 +56,12 @@ import math
 import numpy as np
 
 from .bounds import WEIGHTED_WEIGHTS, BoundName, _memory_gaps, _state_gaps
-from .core import (BipartiteState, DensityMatrix, MeasurementChain, PureState, _Record, _stacked_bras,
-                   outcome_distribution)
+from .core import BipartiteState, DensityMatrix, MeasurementChain, PureState, _Record, outcome_distribution
 from .entropy import _entropy_rows, renyi_entropy
 from .generators import _entangled, _gaussian_gram, _unit_trace
 from .neldermead import _nelder_mead
 
-CERTIFICATION_TOL = 1e-6
+CERTIFICATION_TOL = 1e-12
 MIXED_SPOT_SAMPLES = 50
 RESTART_PASSES = 5  # Nelder-Mead runs per restart at most: the first, then resumptions of the unconverged
 SPOT_BLOCK = 64  # spot-check rounds evaluated together; caps the size of the batch arrays
@@ -192,7 +195,7 @@ def _pure_objective(chain: MeasurementChain, ords: list[float], weights: list[fl
     one row, which rounds differently from a batch's, and a restart's value would
     then depend on which other restarts share its evaluations.
     """
-    bras = _stacked_bras(chain)
+    bras = chain.bras
     n, dim = len(chain), chain.dim
     weights = np.array(weights, dtype=float)
 
@@ -213,7 +216,7 @@ def _memory_objective(chain: MeasurementChain, dim_b: int):
     nonzero spectrum of rho_A; S(rho_B) is taken from the ``eigvalsh`` spectrum of the
     smaller of the two Gram matrices of the (d_A, d_B) amplitude matrix.
     """
-    bras = _stacked_bras(chain)
+    bras = chain.bras
     n, da = len(chain), chain.dim
     total = da * dim_b
 

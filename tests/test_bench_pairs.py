@@ -79,12 +79,34 @@ def test_no_gain_is_shown_from_fewer_than_ten_pairs():
     assert not bench_pairs.gain_shown(PARENT[:9], FASTER[:9])
 
 
+@pytest.mark.parametrize("change, bound, verdict", [
+    (PARENT, 0.05, "holds"),
+    ([p + 0.03 for p in PARENT], 0.05, "holds"),  # the median worse by 0.03, inside the bound
+    ([p + 0.06 for p in PARENT], 0.05, "worse"),
+    (PARENT, 0.01, "unresolved"),  # the parent's spread 0.04 is wider than the bound
+    ([p + 0.1 for p in PARENT], 0.01, "worse"),
+    ([p - 0.05 for p in PARENT], 0.01, "unresolved"),  # better in every pair, not better than every parent run
+    (FASTER, 0.01, "holds"),  # every change run better than every parent run
+])
+def test_regression_is_worse_unresolved_or_holds(change, bound, verdict):
+    assert bench_pairs.regression(PARENT, change, bound) == verdict
+
+
 def test_summary_says_whether_a_gain_is_shown():
     runs = _runs("bounds-session", [_result(w, 94.0) for w in PARENT], [_result(w, 94.0) for w in FASTER])
     summary = bench_pairs.summarize(runs)
     assert summary["bounds-session wall_s"]["change_lower_pairs"] == 10
     assert summary["bounds-session wall_s"]["gain_shown"] is True
     assert summary["bounds-session peak_rss_mb"]["gain_shown"] is False  # ten ties
+    assert summary["bounds-session wall_s"]["no_regression"] == "holds"
+
+
+def test_summary_reads_each_bound_from_the_benchmark():
+    """A 6 % rise: inside ``wall_s``' 25 % bound, beyond ``peak_rss_mb``'s 5 %."""
+    runs = _runs("bounds-session", [_result(w, 94.0) for w in PARENT], [_result(w * 1.06, 94.0 * 1.06) for w in PARENT])
+    summary = bench_pairs.summarize(runs)
+    assert summary["bounds-session wall_s"]["no_regression"] == "holds"
+    assert summary["bounds-session peak_rss_mb"]["no_regression"] == "worse"
 
 
 def test_reads_the_last_line_and_the_machine_line():

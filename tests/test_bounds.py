@@ -177,13 +177,15 @@ class TestPairBounds:
     )
     def test_bank_terms_are_the_public_bounds_bit_for_bit(self, chain):
         """The bank's pair terms, and WEIGHTED from the bank's tables, equal the two- and
-        three-basis bounds, which build their own tables."""
-        bank, n = chain.overlaps, len(chain)
+        three-basis bounds, which build their own tables; so do the chain's cached terms."""
+        bank, n, terms = chain.overlaps, len(chain), chain.terms
         pairs = _pair_bounds(bank)
         for i, j in permutations(range(n), 2):
-            assert pairs[i, j] == eur.mu_two_bound(chain[i], chain[j]), (i, j)
+            assert pairs[i, j] == terms.pairs[i, j] == eur.mu_two_bound(chain[i], chain[j]), (i, j)
         if n == 3:
-            assert _weighted(bank[0, 2], bank[2, 1]) == eur.weighted_bound(*chain)
+            assert _weighted(bank[0, 2], bank[2, 1]) == terms.weighted == eur.weighted_bound(*chain)
+        else:
+            assert terms.weighted is None
 
 
 class TestScbMax:

@@ -757,11 +757,11 @@ TIGHT_CELLS = (
 )
 
 
-@pytest.mark.parametrize("delta", [0.0, 1e-3])
+@pytest.mark.parametrize("delta", [0.0, 1e-3, 1e-9])
 @pytest.mark.parametrize("chain,mode,bound", TIGHT_CELLS)
 def test_a_bound_raised_where_it_is_attained_fails(tmp_path, capsys, monkeypatch, chain, mode, bound, delta):
-    """A bound raised by 1e-3 on a chain where it is tight fails ``verify``, whatever the random draws;
-    not raised, it certifies.  The spot checks run in process, where the raise applies."""
+    """A bound raised by 1e-3, or by 1e-9, on a chain where it is tight fails ``verify``, whatever the
+    random draws; not raised, it certifies.  The spot checks run in process, where the raise applies."""
     name = eur.BoundName[bound]
     values = eur.bounds._state_bounds if mode == "state" else eur.bounds._memory_bounds
 
@@ -775,6 +775,44 @@ def test_a_bound_raised_where_it_is_attained_fails(tmp_path, capsys, monkeypatch
     memory = ["--dim-b", "2"] if mode == "memory" else []
     rc = main(["verify", "--input", str(path), "--mode", mode, *memory, "--restarts", "2", "--samples", "4"])
     assert (rc, capsys.readouterr().out.splitlines()[-1]) == ((1, "VERIFICATION FAILED") if delta else (0, "CERTIFIED"))
+
+
+def test_tight_slacks_sit_far_inside_the_certification_tolerance(tmp_path, capsys):
+    """On the largest chain measured, d = 7 with a d_B = 7 memory, every slack and spot value that
+    rounds to 0 (the bounds attained at Phi, I/d and I/d x I/d) is within 5 % of the tolerance."""
+    path = tmp_path / "chain.json"
+    write_measurement_set(path, eur.mub_set(7))
+    assert main(["verify", "--input", str(path), "--mode", "memory", "--dim-b", "7"]) == 0
+    values = [float(line.split()[-1]) for line in capsys.readouterr().out.splitlines()
+              if line.startswith(("slack ", "spot "))]
+    tight = [v for v in values if abs(v) < 1e-9]
+    assert len(tight) >= 7
+    assert max(map(abs, tight)) <= 0.05 * verifier.CERTIFICATION_TOL
+
+
+@pytest.mark.parametrize("argv", [["--mode", "state"], ["--mode", "memory", "--dim-b", "2"]])
+def test_verify_builds_the_chain_constants_once(tmp_path, capsys, monkeypatch, argv):
+    """One ``verify`` runs each builder of the chain's state-independent terms once, whatever its
+    spot-check blocks and gap-kernel calls: they read the chain's cached ``terms``."""
+    calls = {}
+
+    def counted(name):
+        fn = getattr(eur.bounds, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    builders = ("_deutsch_steps", "_mu_steps", "_pair_bounds")
+    for name in builders:
+        monkeypatch.setattr(eur.bounds, name, counted(name))
+    path = tmp_path / "chain.json"
+    write_measurement_set(path, eur.mub_set(3))
+    assert main(["verify", "--input", str(path), *argv]) == 0
+    assert capsys.readouterr().out.endswith("CERTIFIED\n")
+    assert calls == dict.fromkeys(builders, 1)
 
 
 class TestSpotChecks:

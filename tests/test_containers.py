@@ -104,10 +104,14 @@ def test_arrays_are_read_only_and_the_bank_is_cached():
     for name, array in arrays.items():
         assert not getattr(containers[name], array).flags.writeable, name
     chain = containers["MeasurementChain"]
-    assert chain.overlaps is chain.overlaps
-    assert not chain.overlaps.flags.writeable
+    for cached in ("overlaps", "bras", "terms"):
+        assert getattr(chain, cached) is getattr(chain, cached), cached
+        with pytest.raises(AttributeError):
+            setattr(chain, cached, np.zeros(1))
+    for array in (chain.overlaps, chain.bras, chain.terms.pairs):
+        assert not array.flags.writeable
     with pytest.raises(AttributeError):
-        chain.overlaps = np.zeros(1)
+        chain.terms.mu = 0.0
 
 
 def test_keyword_forms():

@@ -12,7 +12,9 @@ stands, uncommitted edits included.  Pair k runs seed ``--seed-start + k - 1`` o
 the parent first on odd pairs and the change first on even ones, one run at a time.  Each
 run's last stdout line (its JSON result) is kept under ``runs``; ``summary`` gives, per
 workload and metric, [q1, median, q3] of each side, the number of pairs in which the change
-reads lower, whether that shows a gain (``gain_shown``) and the failed calls of each side.
+reads lower, whether that shows a gain (``gain_shown``), for each end-to-end metric of
+``BENCHMARK.json`` whether the change keeps within its bound (``no_regression``), and the failed
+calls of each side.
 """
 
 from __future__ import annotations
@@ -56,9 +58,25 @@ def gain_shown(parent: list[float], change: list[float]) -> bool:
     return len(parent) >= 10 and 10 * lower >= 9 * len(parent) and median - statistics.median(change) > q3 - q1
 
 
+def regression(parent: list[float], change: list[float], bound: float) -> str:
+    """No-regression verdict on a lower-is-better metric, ``bound`` a fraction of the parent's median:
+    "worse" when the change's median exceeds the parent's by more than the bound; else "unresolved"
+    when the parent's spread q3 - q1 exceeds the bound, unless every change run reads lower than
+    every parent run; else "holds"."""
+    q1, median, q3 = statistics.quantiles(parent, n=4)
+    allowed = bound * abs(median)
+    if statistics.median(change) - median > allowed:
+        return "worse"
+    if q3 - q1 > allowed and max(change) >= min(parent):
+        return "unresolved"
+    return "holds"
+
+
 def summarize(runs: list[dict]) -> dict:
     """Per "<workload> <metric>": pairs, each side's [q1, median, q3], pairs the change reads lower,
-    whether that shows a gain (:func:`gain_shown`), and failures."""
+    whether that shows a gain (:func:`gain_shown`), for an end-to-end metric of ``BENCHMARK.json``
+    its :func:`regression` verdict under the bound given there (``no_regression``), and failures."""
+    end_to_end = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict] = {}
@@ -76,6 +94,11 @@ def summarize(runs: list[dict]) -> dict:
                 "gain_shown": gain_shown(value["parent"], value["change"]),
                 "fail": [sum(p[side]["failed"] for p in complete) for side in ("parent", "change")],
             }
+            if metric in end_to_end:
+                sign = 1 if end_to_end[metric]["better"] == "lower" else -1
+                summary[f"{workload} {metric}"]["no_regression"] = regression(
+                    [sign * x for x in value["parent"]], [sign * x for x in value["change"]],
+                    end_to_end[metric]["bound"])
     return summary
 
 
@@ -137,7 +160,10 @@ def main(argv=None) -> int:
             f"change = {change}. Pairs alternate which side runs first (odd pairs: parent first); "
             f"pair k runs seed {args.seed_start} + k - 1 on both sides. 'summary' gives [q1, median, q3] per side, "
             "the number of pairs where the change reads lower, 'gain_shown' (at least ten pairs, lower in at "
-            "least 9 of 10 and the median lower by more than the parent's q3 - q1) and the failed calls per side."
+            "least 9 of 10 and the median lower by more than the parent's q3 - q1), 'no_regression' per "
+            "end-to-end metric of BENCHMARK.json ('worse': the median worse by more than the bound, a fraction "
+            "of the parent's median; 'unresolved': the parent's q3 - q1 wider than the bound and not every "
+            "change run better than every parent run; else 'holds') and the failed calls per side."
         ),
         "machine": {**machine, "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", "")},
         "summary": summarize(runs),
