@@ -21,12 +21,12 @@ cut into blocks of its subtrees.  Ties go to the lexicographically first
 order.  ``eur scan`` runs the same steps on a stack of banks.
 
 A bound with a state term adds S(rho) or S(A|B), times a count, to a constant
-of the bank.  The constants are the chain's state-independent terms: the
-input-order -log2 b, DEUTSCH_MULTI, the pair terms -log2 c(M_i, M_j)
-(``_pair_bounds``) and WEIGHTED's constant.  ``_chain_terms`` builds them once
-per chain, from its bank, into the read-only record ``chain.terms``, which the
-public scalars, the value functions and the gap kernels read.  Each such bound
-is written once, in the value function of its mode, for a stack of states:
+of the bank: the input-order -log2 b, DEUTSCH_MULTI, the pair terms
+-log2 c(M_i, M_j) (``_pair_bounds``) and WEIGHTED's constant, the fields of the
+read-only record ``_Terms``, each built when first read.  ``chain.terms`` is the
+record of the chain's bank; a searched order's MU enters as a field given to a
+record of its own.  Each such bound is written once, in the value function of
+its mode, which takes a record and a stack of states:
 
 * ``_state_bounds``: MU_MULTI, -log2 b + (N - 1) S(rho); STATE_DEPENDENT, in
   closed form with no sigma built; SCB_MAX, the best of the pair terms and the
@@ -35,7 +35,7 @@ is written once, in the value function of its mode, for a stack of states:
 * ``_memory_bounds``: MEMORY_MULTI, MEMORY_PURE and BERTA_TWO.
 
 ``build_reports`` reads every value after DEUTSCH_MULTI from one
-``_state_bounds`` call, the searched MU constant passed in under
+``_state_bounds`` call, on a record seeded with the searched MU constant under
 ``best_order``.  The chain-taking public functions validate their input and
 read one state's value from the same functions.  The gap kernels
 ``_state_gaps`` and ``_memory_gaps`` pair the values with each bound's
@@ -53,6 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 from enum import Enum
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -225,11 +226,6 @@ def _search(n: int, steps, roots) -> tuple[float, tuple[int, ...]]:
     return best_val, best_order
 
 
-def _deutsch_multi(bank: np.ndarray):
-    """:func:`deutsch_multi_bound` of every chain of a (..., N, N, d, d) bank."""
-    return _neg_log2(_fold(_deutsch_steps(bank), range(bank.shape[-3])))
-
-
 def _mu_multi_best(bank: np.ndarray):
     """The value of :func:`mu_multi_bound_best_order` for every chain of a (..., N, N, d, d) bank,
     as the largest over all N! index orders (the search's prune never skips a better one)."""
@@ -237,14 +233,21 @@ def _mu_multi_best(bank: np.ndarray):
     return np.max([_neg_log2(_fold(steps, order)) for order in permutations(range(bank.shape[-3]))], axis=0)
 
 
-def _chain_terms(bank: np.ndarray) -> _Frozen:
-    """The state-independent bound terms of the chain of the (N, N, d, d) bank ``bank``, as one
-    read-only record (``MeasurementChain.terms``): ``mu``, -log2 b in the input order; ``deutsch``,
-    DEUTSCH_MULTI; ``pairs``, the read-only (N, N) terms -log2 c(M_i, M_j); and ``weighted``,
-    WEIGHTED's constant for N = 3, None otherwise."""
-    n = bank.shape[0]
-    return _Frozen(mu=float(_neg_log2(_fold(_mu_steps(bank), range(n)))), deutsch=float(_deutsch_multi(bank)),
-                   pairs=_freeze(_pair_bounds(bank)), weighted=_weighted(bank[0, 2], bank[2, 1]) if n == 3 else None)
+class _Terms(_Frozen):
+    """The state-independent bound terms of every chain of a (..., N, N, d, d) bank ``bank``, each built
+    when first read: ``mu``, -log2 b in the input order, and ``deutsch``, DEUTSCH_MULTI (floats for one
+    chain); ``pairs``, the read-only (..., N, N) terms -log2 c(M_i, M_j); and ``weighted``, WEIGHTED's
+    constant for one N = 3 chain, else None.  A field given to the constructor is read as given."""
+
+    def _input_order(self, steps):
+        x = _neg_log2(_fold(steps(self.bank), range(self.bank.shape[-3])))
+        return float(x) if self.bank.ndim == 4 else x
+
+    mu = cached_property(lambda self: self._input_order(_mu_steps))
+    deutsch = cached_property(lambda self: self._input_order(_deutsch_steps))
+    pairs = cached_property(lambda self: _freeze(_pair_bounds(self.bank)))
+    weighted = cached_property(lambda self: _weighted(self.bank[0, 2], self.bank[2, 1])
+                               if self.bank.shape[:-2] == (3, 3) else None)
 
 
 def deutsch_multi_bound(chain: MeasurementChain) -> float:
@@ -309,10 +312,10 @@ def scb_max_bound(chain: MeasurementChain, rho: DensityMatrix | None = None) -> 
     return _state_value(chain, rho, BoundName.SCB_MAX)
 
 
-def _push_weights(chain: MeasurementChain, w: np.ndarray) -> np.ndarray:
-    """Push first-basis outcome weights, (d,) or (S, d), through every consecutive overlap table."""
-    for m in range(len(chain) - 1):
-        w = w @ chain.overlaps[m, m + 1]
+def _push_weights(bank: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Push first-basis outcome weights, (d,) or (S, d), through every consecutive table of a chain's bank."""
+    for m in range(len(bank) - 1):
+        w = w @ bank[m, m + 1]
     return w
 
 
@@ -325,7 +328,7 @@ def chain_coefficients(chain: MeasurementChain, rho: DensityMatrix) -> np.ndarra
     """
     if chain.dim != rho.dim:
         raise ValueError(f"dimension mismatch: chain dim {chain.dim} vs state dim {rho.dim}")
-    return _push_weights(chain, outcome_distribution(chain[0], rho))
+    return _push_weights(chain.overlaps, outcome_distribution(chain[0], rho))
 
 
 def state_dependent_bound(chain: MeasurementChain, rho: DensityMatrix) -> float:
@@ -344,7 +347,7 @@ def berta_two_bound(a: MeasurementBasis, b: MeasurementBasis, rho: BipartiteStat
 def memory_multi_bound(chain: MeasurementChain, rho: BipartiteState) -> float:
     """Memory-assisted chain bound -log2 b + (N - 1) S(A|B)."""
     s = _memory_entropy(chain.dim, rho, "chain")
-    return float(_memory_bounds(chain, np.array([s]))[BoundName.MEMORY_MULTI][0])
+    return float(_memory_bounds(chain.terms, np.array([s]))[BoundName.MEMORY_MULTI][0])
 
 
 def memory_pure_bound(chain: MeasurementChain, rho: BipartiteState) -> float:
@@ -353,7 +356,7 @@ def memory_pure_bound(chain: MeasurementChain, rho: BipartiteState) -> float:
     purity = rho.joint.purity()
     if purity <= 1.0 - PURITY_TOL:
         raise ValueError(f"memory_pure_bound requires a pure joint state, got tr(rho^2) = {purity:.6f}")
-    return float(_memory_bounds(chain, np.array([s]))[BoundName.MEMORY_PURE][0])
+    return float(_memory_bounds(chain.terms, np.array([s]))[BoundName.MEMORY_PURE][0])
 
 
 def _chain_probabilities(chain: MeasurementChain, rhos: np.ndarray) -> np.ndarray:
@@ -362,18 +365,17 @@ def _chain_probabilities(chain: MeasurementChain, rhos: np.ndarray) -> np.ndarra
     return _born_probabilities(chain.bras, rhos).reshape(-1, len(chain), chain.dim)
 
 
-def _state_bounds(chain: MeasurementChain, s: np.ndarray, probs: np.ndarray | None = None, mu=None) -> dict:
-    """{bound: value} of every state-mode bound but DEUTSCH_MULTI for the (k,) stack ``s`` of S(rho),
-    as (k,) arrays: MU_MULTI (its constant ``mu`` if given, a searched order's), STATE_DEPENDENT when
-    the (k, N, d) Born probabilities ``probs`` are given, SCB_MAX, MU_TWO of the first two bases and
-    WEIGHTED for N = 3.  STATE_DEPENDENT is (N - 1) S(rho) - sum_j q_j log2 beta_j (see
-    :func:`state_dependent_bound`), q the last basis' probabilities and beta the normalized chain
-    weights; q_j <= ``LOG_CUTOFF`` adds 0.  No validation."""
-    n, terms = len(chain), chain.terms
-    values = {BoundName.MU_MULTI: (terms.mu if mu is None else mu) + (n - 1) * s}
+def _state_bounds(terms: _Terms, s: np.ndarray, probs: np.ndarray | None = None) -> dict:
+    """{bound: value} of every state-mode bound but DEUTSCH_MULTI of the chain of ``terms`` for the
+    (k,) stack ``s`` of S(rho), as (k,) arrays: MU_MULTI, STATE_DEPENDENT when the (k, N, d) Born
+    probabilities ``probs`` are given, SCB_MAX, MU_TWO of the first two bases and WEIGHTED for N = 3.
+    STATE_DEPENDENT is (N - 1) S(rho) - sum_j q_j log2 beta_j (:func:`state_dependent_bound`), q the
+    last basis' probabilities, beta the normalized chain weights; q_j <= ``LOG_CUTOFF`` adds 0.  No validation."""
+    n = len(terms.bank)
+    values = {BoundName.MU_MULTI: terms.mu + (n - 1) * s}
     if probs is not None:
         q = probs[:, -1]
-        beta = _push_weights(chain, probs[:, 0])
+        beta = _push_weights(terms.bank, probs[:, 0])
         beta = np.where(q > LOG_CUTOFF, beta / beta.sum(axis=-1, keepdims=True), 1.0)
         values[BoundName.STATE_DEPENDENT] = (n - 1) * s - (q * np.log2(beta)).sum(axis=-1)
     values[BoundName.SCB_MAX] = _scb_max(terms.pairs, s)
@@ -388,16 +390,15 @@ def _state_value(chain: MeasurementChain, rho: DensityMatrix | None, name: Bound
     one; rejects a state whose dimension is not the chain's."""
     s = np.array([_state_entropy(chain.dim, rho, "chain")])
     probs = _chain_probabilities(chain, rho.matrix) if name is BoundName.STATE_DEPENDENT else None
-    return float(_state_bounds(chain, s, probs)[name][0])
+    return float(_state_bounds(chain.terms, s, probs)[name][0])
 
 
-def _memory_bounds(chain: MeasurementChain, s_ab: np.ndarray) -> dict:
-    """{bound: value} of every memory bound for the (k,) stack ``s_ab`` of S(A|B), as (k,) arrays but
-    BERTA_TWO's, which is (k, N - 1), a column per consecutive pair.  MEMORY_PURE holds only on pure
-    joint states.  No validation."""
-    n, terms = len(chain), chain.terms
+def _memory_bounds(terms: _Terms, s_ab: np.ndarray) -> dict:
+    """{bound: value} of every memory bound of the chain of ``terms`` for the (k,) stack ``s_ab`` of
+    S(A|B), as (k,) arrays but BERTA_TWO's, which is (k, N - 1), a column per consecutive pair.
+    MEMORY_PURE holds only on pure joint states.  No validation."""
     return {
-        BoundName.MEMORY_MULTI: terms.mu + (n - 1) * s_ab,
+        BoundName.MEMORY_MULTI: terms.mu + (len(terms.bank) - 1) * s_ab,
         BoundName.MEMORY_PURE: terms.mu + s_ab,
         BoundName.BERTA_TWO: s_ab[:, None] + np.diagonal(terms.pairs, 1),
     }
@@ -414,7 +415,7 @@ def _state_gaps(chain: MeasurementChain, rhos: np.ndarray) -> dict:
     if len(chain) == 3:
         lhs[BoundName.WEIGHTED] = sum(w * hm for w, hm in zip(WEIGHTED_WEIGHTS, hs.T))
     gaps = {BoundName.DEUTSCH_MULTI: (h_min, np.full_like(s, chain.terms.deutsch))}
-    return gaps | {name: (lhs[name], value) for name, value in _state_bounds(chain, s, probs).items()}
+    return gaps | {name: (lhs[name], value) for name, value in _state_bounds(chain.terms, s, probs).items()}
 
 
 def _memory_gaps(chain: MeasurementChain, joints: np.ndarray, dim_b: int) -> dict:
@@ -425,7 +426,7 @@ def _memory_gaps(chain: MeasurementChain, joints: np.ndarray, dim_b: int) -> dic
     hc_sum = sum(hc.T)
     lhs = {BoundName.MEMORY_MULTI: hc_sum, BoundName.MEMORY_PURE: hc_sum,
            BoundName.BERTA_TWO: hc[:, :-1] + hc[:, 1:]}
-    return {name: (lhs[name], value) for name, value in _memory_bounds(chain, s_ab).items()}
+    return {name: (lhs[name], value) for name, value in _memory_bounds(chain.terms, s_ab).items()}
 
 
 def deutsch_multi_bound_best_order(chain: MeasurementChain) -> tuple[float, tuple[int, ...]]:
@@ -488,7 +489,8 @@ def build_reports(
 
     m_val, m_order = searched(mu_multi_bound_best_order, mu_multi_bound)
     probs = _chain_probabilities(chain, rho.matrix) if uses_state else None
-    values = _state_bounds(chain, np.array([s]), probs, mu=m_val)
+    terms = _Terms(bank=chain.overlaps, mu=m_val) if best_order else chain.terms  # chain.terms keeps the input order
+    values = _state_bounds(terms, np.array([s]), probs)
     reports.append(BoundReport(BoundName.MU_MULTI, float(values[BoundName.MU_MULTI][0]), uses_state, m_order))
     if n != 2:
         del values[BoundName.MU_TWO]  # of the first two bases, listed only when they are the whole chain

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .bounds import _deutsch_multi, _mu_multi_best, _pair_bounds, _scb_max, build_reports
+from .bounds import _Terms, _mu_multi_best, _scb_max, build_reports
 from .core import _overlap_bank
 from .fileio import _write_text, read_chain, read_density_matrix, write_measurement_set
 from .generators import _paper_d3_vectors, mub_set, parametric_d3_chain, random_basis
@@ -27,11 +27,11 @@ from .verifier import (
     spot_check_inequalities,
 )
 
-# CLI bound name -> bound of every chain of a (..., N, N, d, d) overlap bank, through the
-# contraction steps of its single-chain bound; its CSV column is the name with "_" for "-".
-# The scan reports the order-optimized contraction bound so the columns are comparable.
-SCAN_BOUNDS = {"mu-multi": _mu_multi_best, "scb-max": lambda bank: _scb_max(_pair_bounds(bank)),
-               "deutsch-multi": _deutsch_multi}
+# CLI bound name -> bound of every chain of a (..., N, N, d, d) overlap bank, read from the bank's record
+# ``bounds._Terms``; its CSV column is the name with "_" for "-".  The scan reports the order-optimized
+# contraction bound so the columns are comparable.
+SCAN_BOUNDS = {"mu-multi": lambda terms: _mu_multi_best(terms.bank), "scb-max": lambda terms: _scb_max(terms.pairs),
+               "deutsch-multi": lambda terms: terms.deutsch}
 _SCAN_BLOCK = 256  # grid points evaluated per stacked bank, bounding the scan's temporaries
 # subcommand -> (selector, {optional flag: the selector values that read it}, the flags that every value
 # reading them requires), flags in check order; any other value rejects the flag
@@ -122,8 +122,8 @@ def _scan_rows(a: np.ndarray, phi: np.ndarray, requested: list[str]) -> list[tup
         v = _paper_d3_vectors(*block)
         if fixed is None:
             fixed = _overlap_bank(v[0, :2])
-        bank = _overlap_bank(v, fixed)
-        rows += zip(*(c.tolist() for c in [*block] + [SCAN_BOUNDS[name](bank) for name in requested]))
+        terms = _Terms(bank=_overlap_bank(v, fixed))
+        rows += zip(*(c.tolist() for c in [*block] + [SCAN_BOUNDS[name](terms) for name in requested]))
     return rows
 
 

@@ -182,14 +182,13 @@ class MeasurementChain(_Frozen):
 
     @cached_property
     def terms(self) -> _Frozen:
-        """The state-independent terms of the chain's bounds, computed once per chain from
-        :attr:`overlaps` by ``bounds._chain_terms``: the input-order MU constant ``mu`` (-log2 b),
-        ``deutsch`` (DEUTSCH_MULTI), the read-only (N, N) pair terms ``pairs`` (-log2 c(M_i, M_j))
-        and ``weighted``, WEIGHTED's constant for N = 3 and None otherwise.  Read-only, like the bank.
-        """
-        from .bounds import _chain_terms  # bounds imports this module
+        """The state-independent terms of the chain's bounds, the record ``bounds._Terms`` of :attr:`overlaps`:
+        the input-order MU constant ``mu`` (-log2 b), ``deutsch`` (DEUTSCH_MULTI), the read-only (N, N)
+        pair terms ``pairs`` (-log2 c(M_i, M_j)) and ``weighted``, WEIGHTED's constant for N = 3 and None
+        otherwise, each built when first read.  Read-only, like the bank; never holds a searched value."""
+        from .bounds import _Terms  # bounds imports this module
 
-        return _chain_terms(self.overlaps)
+        return _Terms(bank=self.overlaps)
 
     @cached_property
     def bras(self) -> np.ndarray:

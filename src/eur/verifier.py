@@ -34,7 +34,7 @@ from one cosine and one sine of all angles, takes one product with the stacked
 bases and then the row-entropy kernel ``entropy._entropy_rows``.  The
 memory-mode objective builds no state objects: for a pure joint state
 H(M|B) = H(M) - S(rho_B), with S(rho_B) from the ``eigvalsh`` spectrum of the
-smaller Gram matrix of the amplitude matrix.
+(d_B, d_B) Gram matrix of the amplitude matrix (the objective runs only for d_B < d_A).
 
 The spot checks (drawn and evaluated a block at a time, the last block carrying three
 fixed states where the bounds are attained: I/d, Phi and I/d (x) I/d on d x d), memory mode's
@@ -212,9 +212,9 @@ def _memory_objective(chain: MeasurementChain, dim_b: int):
     """sum_m H(M_m|B) as a function of the angles of a pure state on A x B.
 
     For a pure joint state the measured outcome and the memory's post-measurement
-    state form a classical-pure mixture, so H(M|B) = H(M) - S(rho_B).  rho_B has the
-    nonzero spectrum of rho_A; S(rho_B) is taken from the ``eigvalsh`` spectrum of the
-    smaller of the two Gram matrices of the (d_A, d_B) amplitude matrix.
+    state form a classical-pure mixture, so H(M|B) = H(M) - S(rho_B).  S(rho_B) is taken from
+    the ``eigvalsh`` spectrum of the (d_B, d_B) Gram matrix of the (d_A, d_B) amplitude matrix,
+    the smaller one wherever the search runs (d_B < d_A: :func:`minimize_conditional_entropy_sum`).
     """
     bras = chain.bras
     n, da = len(chain), chain.dim
@@ -223,9 +223,7 @@ def _memory_objective(chain: MeasurementChain, dim_b: int):
     def objective(x):
         amps = _state_from_angles(x, total).reshape(-1, da, dim_b)
         probs = np.add.reduce(np.abs(bras @ amps) ** 2, axis=-1).reshape(-1, n, da)
-        adj = np.swapaxes(amps.conj(), -1, -2)
-        gram = adj @ amps if dim_b <= da else amps @ adj
-        s_b = _entropy_rows(np.linalg.eigvalsh(gram), (1.0,))
+        s_b = _entropy_rows(np.linalg.eigvalsh(np.swapaxes(amps.conj(), -1, -2) @ amps), (1.0,))
         return np.add.reduce(_entropy_rows(probs, (1.0,)), axis=-1) - n * s_b
 
     return objective

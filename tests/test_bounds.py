@@ -660,6 +660,17 @@ class TestBuildReports:
         assert best[BoundName.MU_MULTI].value >= default[BoundName.MU_MULTI].value - 1e-12
         assert sorted(best[BoundName.MU_MULTI].chain_order) == [0, 1, 2]
 
+    def test_best_order_leaves_the_chains_record_in_input_order(self):
+        """A best-order run seeds a record of its own with the searched MU constant; the chain's
+        record, and ``mu_multi_bound``, keep the input order's value, a Python float."""
+        chain = MeasurementChain([eur.random_basis(3, 11 + k) for k in range(4)])
+        mu = {r.bound_name: r for r in eur.build_reports(chain, best_order=True)}[BoundName.MU_MULTI]
+        assert mu.chain_order == (2, 1, 0, 3)
+        assert mu.value == eur.mu_multi_bound(chain.reordered(mu.chain_order)) == pytest.approx(1.055, abs=5e-4)
+        for value in (chain.terms.mu, eur.mu_multi_bound(chain)):
+            assert type(value) is float
+            assert value == pytest.approx(0.672, abs=5e-4)
+
     @pytest.mark.parametrize("count", [3, 2])
     def test_builds_no_overlap_table_once_the_bank_is_built(self, count, monkeypatch):
         """MU_TWO and WEIGHTED take their tables from ``chain.overlaps``, like every other bound."""

@@ -790,10 +790,12 @@ def test_tight_slacks_sit_far_inside_the_certification_tolerance(tmp_path, capsy
     assert max(map(abs, tight)) <= 0.05 * verifier.CERTIFICATION_TOL
 
 
-@pytest.mark.parametrize("argv", [["--mode", "state"], ["--mode", "memory", "--dim-b", "2"]])
-def test_verify_builds_the_chain_constants_once(tmp_path, capsys, monkeypatch, argv):
-    """One ``verify`` runs each builder of the chain's state-independent terms once, whatever its
-    spot-check blocks and gap-kernel calls: they read the chain's cached ``terms``."""
+TERM_BUILDERS = ("_deutsch_steps", "_mu_steps", "_pair_bounds", "_weighted")
+
+
+@pytest.fixture
+def builder_calls(monkeypatch):
+    """Calls of each builder of the chain's state-independent terms, counted on ``eur.bounds``."""
     calls = {}
 
     def counted(name):
@@ -805,14 +807,34 @@ def test_verify_builds_the_chain_constants_once(tmp_path, capsys, monkeypatch, a
 
         return wrapper
 
-    builders = ("_deutsch_steps", "_mu_steps", "_pair_bounds")
-    for name in builders:
+    for name in TERM_BUILDERS:
         monkeypatch.setattr(eur.bounds, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["--mode", "state"], ["--mode", "memory", "--dim-b", "2"]])
+def test_verify_builds_the_chain_constants_once(tmp_path, capsys, builder_calls, argv):
+    """One ``verify`` runs each builder of the chain's state-independent terms once, whatever its
+    spot-check blocks and gap-kernel calls: they read the chain's cached ``terms``."""
     path = tmp_path / "chain.json"
     write_measurement_set(path, eur.mub_set(3))
     assert main(["verify", "--input", str(path), *argv]) == 0
     assert capsys.readouterr().out.endswith("CERTIFIED\n")
-    assert calls == dict.fromkeys(builders, 1)
+    assert builder_calls == dict.fromkeys(("_deutsch_steps", "_mu_steps", "_pair_bounds"), 1)
+
+
+@pytest.mark.parametrize("argv,built", [([], TERM_BUILDERS), (["--best-order"], TERM_BUILDERS),
+                                        (["--orders", "min"], ("_deutsch_steps",))],
+                         ids=["plain", "best-order", "orders-min"])
+def test_bounds_builds_each_printed_term_once(tmp_path, capsys, builder_calls, argv, built):
+    """``bounds`` on an N = 3 chain builds only the terms it prints, each once: a best-order run folds
+    no input-order DEUTSCH_MULTI or MU beside its two searches, and ``--orders min`` builds only the
+    Deutsch steps."""
+    path = tmp_path / "chain.json"
+    write_measurement_set(path, eur.mub_set(2))
+    assert main(["bounds", "--input", str(path), *argv]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == (2 if "min" in argv else 5)
+    assert builder_calls == dict.fromkeys(built, 1)
 
 
 class TestSpotChecks:

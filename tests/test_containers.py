@@ -1,7 +1,8 @@
 """The eight containers: fields stored once, read-only afterwards, and what ``==`` and ``hash`` mean.
 
 The five that hold arrays or other containers compare and hash by identity; the three records
-(``BoundReport``, ``MinimizationConfig``, ``VerificationResult``) compare field by field.
+(``BoundReport``, ``MinimizationConfig``, ``VerificationResult``) compare field by field.  A chain's
+record of bound terms (``bounds._Terms``) is read-only too, a field given to it included.
 """
 
 import os
@@ -15,6 +16,7 @@ import pytest
 import eur
 from eur import BipartiteState, BoundName, BoundReport, DensityMatrix, MeasurementBasis, MeasurementChain
 from eur import MinimizationConfig, PureState, VerificationResult
+from eur.bounds import _Terms
 
 
 def _containers():
@@ -30,6 +32,7 @@ def _containers():
         "BoundReport": BoundReport(BoundName.MU_MULTI, 1.0, False, (0, 1)),
         "MinimizationConfig": MinimizationConfig(restarts=8, seed=3),
         "VerificationResult": VerificationResult(2.0, psi, {BoundName.MU_MULTI: 1.0}, 4, 8),
+        "_Terms": _Terms(mu=1.0, bank=MeasurementChain(eur.mub_set(2)).overlaps),  # seeded, as under best_order
     }
 
 
